@@ -2,6 +2,8 @@
 //! graph profile. Multiple gmon files are summed; analysis options mirror
 //! the paper and retrospective.
 
+use std::io::Write as _;
+
 use graphprof_cli::args::normalize_jobs_shorthand;
 use graphprof_cli::{analyze, check, regress, remote, report, serve, Args, CliError};
 
@@ -55,8 +57,11 @@ fn serve_main(argv: &[String]) -> ! {
     match parsed {
         Ok((handle, banner)) => {
             // The banner carries the bound (possibly ephemeral) address;
-            // scripts and tests read it before connecting.
-            println!("{banner}");
+            // scripts and tests read it before connecting. A reader that
+            // stops after the address line closes the pipe while later
+            // banner lines are still being written; that must not take
+            // the running server down, so a closed stdout is ignored.
+            let _ = writeln!(std::io::stdout(), "{banner}");
             // Keep the handle alive and park until killed.
             let _server = handle;
             loop {

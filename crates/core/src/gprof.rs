@@ -3,8 +3,7 @@
 use std::collections::HashSet;
 
 use graphprof_callgraph::{
-    break_cycles_greedy, discover_arcs_with_indirect_jobs, discover_static_arcs_jobs,
-    propagate_jobs, CallGraph, NodeId, Propagation, SccResult,
+    break_cycles_greedy, propagate_jobs, CallGraph, NodeId, Propagation, SccResult,
 };
 use graphprof_machine::Executable;
 use graphprof_monitor::GmonData;
@@ -14,6 +13,7 @@ use crate::error::AnalyzeError;
 use crate::filter::Filter;
 use crate::flat::FlatProfile;
 use crate::options::Options;
+use crate::prepared::PreparedExecutable;
 use crate::profile::{assign_self_cycles, build_graph};
 use crate::render;
 
@@ -52,7 +52,8 @@ impl Gprof {
         &self.options
     }
 
-    /// Analyzes one profile against its executable.
+    /// Analyzes one profile against its executable, deriving the
+    /// executable's static call graph for this analysis alone.
     ///
     /// # Errors
     ///
@@ -60,6 +61,24 @@ impl Gprof {
     /// executable, the text cannot be disassembled, or an option names an
     /// unknown routine.
     pub fn analyze(&self, exe: &Executable, gmon: &GmonData) -> Result<Analysis, AnalyzeError> {
+        self.analyze_prepared(&PreparedExecutable::borrowed(exe), gmon)
+    }
+
+    /// Analyzes one profile against an executable whose static call
+    /// graph is derived once and shared across analyses. The result is
+    /// identical to [`Gprof::analyze`] over the same executable.
+    ///
+    /// # Errors
+    ///
+    /// As [`Gprof::analyze`], in the same order: a profile that does not
+    /// match the executable is reported before text that does not
+    /// decode.
+    pub fn analyze_prepared(
+        &self,
+        prepared: &PreparedExecutable<'_>,
+        gmon: &GmonData,
+    ) -> Result<Analysis, AnalyzeError> {
+        let exe = prepared.executable();
         let text_len = exe.end().checked_sub(exe.base()).expect("end >= base");
         let histogram = gmon.histogram();
         if histogram.base() != exe.base() || histogram.text_len() != text_len {
@@ -80,20 +99,8 @@ impl Gprof {
 
         // Arcs -> call graph (+ static arcs, optionally with indirect
         // call sites resolved by the slot dataflow).
-        let mut unresolved_indirect = 0;
-        let jobs = self.options.jobs.max(1);
-        let static_arcs = if self.options.use_static_graph {
-            if self.options.resolve_indirect {
-                let discovery = discover_arcs_with_indirect_jobs(exe, jobs)?;
-                unresolved_indirect = discovery.unresolved.len();
-                discovery.arcs
-            } else {
-                discover_static_arcs_jobs(exe, jobs)?
-            }
-        } else {
-            Vec::new()
-        };
-        let resolved = build_graph(exe, gmon.arcs(), &static_arcs);
+        let (static_arcs, unresolved_indirect) = prepared.static_arcs(&self.options)?;
+        let resolved = build_graph(exe, gmon.arcs(), static_arcs);
         let spontaneous = resolved.spontaneous;
         let mut graph = resolved.graph;
         self_cycles.push(0.0); // the virtual spontaneous node
@@ -128,7 +135,7 @@ impl Gprof {
         }
 
         let scc = SccResult::analyze(&graph);
-        let propagation = propagate_jobs(&graph, &scc, &self_cycles, jobs);
+        let propagation = propagate_jobs(&graph, &scc, &self_cycles, self.options.jobs.max(1));
 
         let mut instrumented: Vec<bool> = exe.symbols().iter().map(|(_, s)| s.profiled()).collect();
         instrumented.push(false); // spontaneous node
@@ -441,6 +448,30 @@ mod tests {
             .compile(&CompileOptions::profiled())
             .unwrap();
         assert!(matches!(analyze(&other, &gmon), Err(AnalyzeError::ExecutableMismatch { .. })));
+    }
+
+    #[test]
+    fn undecodable_text_fails_after_the_mismatch_check_on_both_paths() {
+        use graphprof_machine::{Addr, Symbol, SymbolTable};
+        use graphprof_monitor::Histogram;
+        let base = Addr::new(0x1000);
+        let symbols = SymbolTable::new(vec![Symbol::new("junk", base, 4, false)]);
+        let exe = Executable::new(base, vec![0xee; 4], symbols, base);
+        let prepared = PreparedExecutable::new(exe.clone(), 2);
+        let gprof = Gprof::default();
+        let wrong_range = GmonData::new(10, Histogram::new(base, 8, 0), vec![]);
+        let matching = GmonData::new(10, Histogram::new(base, 4, 0), vec![]);
+        for result in
+            [gprof.analyze(&exe, &wrong_range), gprof.analyze_prepared(&prepared, &wrong_range)]
+        {
+            assert!(matches!(result, Err(AnalyzeError::ExecutableMismatch { .. })), "{result:?}");
+        }
+        let once = gprof.analyze(&exe, &matching).unwrap_err();
+        assert!(matches!(once, AnalyzeError::Decode(_)), "{once:?}");
+        assert_eq!(gprof.analyze_prepared(&prepared, &matching).unwrap_err(), once);
+        // Without the static graph the text is never decoded.
+        let dynamic = Gprof::new(Options::default().static_graph(false));
+        assert!(dynamic.analyze_prepared(&prepared, &matching).is_ok());
     }
 
     #[test]

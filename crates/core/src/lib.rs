@@ -13,8 +13,9 @@
 //!    the executable it came from;
 //! 2. charge histogram samples to routines ([`profile`]);
 //! 3. build the dynamic call graph from arc records, merge in statically
-//!    discovered arcs, apply arc exclusions or bounded automatic cycle
-//!    breaking ([`Options`]);
+//!    discovered arcs (derived once per executable and shared across
+//!    analyses, [`PreparedExecutable`]), apply arc exclusions or bounded
+//!    automatic cycle breaking ([`Options`]);
 //! 4. find cycles and propagate time from callees to callers
 //!    (via [`graphprof_callgraph`]);
 //! 5. present the [flat profile](FlatProfile) and the
@@ -61,6 +62,7 @@ pub mod filter;
 pub mod flat;
 mod gprof;
 mod options;
+mod prepared;
 pub mod profile;
 pub mod render;
 pub mod sum;
@@ -76,6 +78,7 @@ pub use filter::Filter;
 pub use flat::{FlatProfile, FlatRow};
 pub use gprof::{analyze, Analysis, Gprof};
 pub use options::Options;
+pub use prepared::PreparedExecutable;
 pub use sum::{sum_profile_bytes, sum_profiles, sum_profiles_jobs, ProfileAccumulator};
 
 // The profile-file type and its crash-recovery surface, re-exported so

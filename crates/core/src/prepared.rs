@@ -1,0 +1,119 @@
+//! The executable-only half of post-processing, derived once.
+//!
+//! §4 takes the static call graph from the program text: "the static
+//! calling information is also contained in the executable version of
+//! the program". None of it depends on a profile, so a caller that
+//! analyzes many profiles of one executable — a collection server
+//! answering queries, or a regression comparison of two sides — crawls
+//! the text and runs the slot dataflow once and shares the result.
+
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
+use graphprof_callgraph::static_graph::StaticArc;
+use graphprof_callgraph::{
+    discover_arcs_with_indirect_jobs, discover_static_arcs_jobs, ArcDiscovery,
+};
+use graphprof_machine::{DecodeError, Executable};
+
+use crate::options::Options;
+
+/// An executable with its statically apparent call graph: the
+/// direct-call crawl, the slot-dataflow arcs for indirect call sites,
+/// and the count of sites the dataflow could not resolve.
+///
+/// Every analysis runs through one of these
+/// ([`Gprof::analyze_prepared`](crate::Gprof::analyze_prepared));
+/// [`Gprof::analyze`](crate::Gprof::analyze) borrows its executable
+/// into a fresh one. Each part is derived at most once, so any number
+/// of analyses, under any [`Options`], share the crawl.
+///
+/// A text that does not decode is not an error here: the failure is
+/// kept and returned by each analysis that needs the static graph,
+/// after the executable-mismatch check, exactly as a one-shot analysis
+/// returns it.
+///
+/// ```
+/// use graphprof::{Gprof, Options, PreparedExecutable};
+/// use graphprof_machine::{CompileOptions, Program};
+/// use graphprof_monitor::profiler::profile_to_completion;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = Program::builder();
+/// b.routine("main", |r| r.call_n("leaf", 10));
+/// b.routine("leaf", |r| r.work(100));
+/// let exe = b.build()?.compile(&CompileOptions::profiled())?;
+/// let (gmon, _) = profile_to_completion(exe.clone(), 10)?;
+/// let prepared = PreparedExecutable::new(exe.clone(), 1);
+/// let gprof = Gprof::new(Options::default());
+/// let once = gprof.analyze(&exe, &gmon)?;
+/// let shared = gprof.analyze_prepared(&prepared, &gmon)?;
+/// assert_eq!(once.render_call_graph(), shared.render_call_graph());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct PreparedExecutable<'e> {
+    exe: Cow<'e, Executable>,
+    /// Direct-call arcs alone (`resolve_indirect` off).
+    direct: OnceLock<Result<Vec<StaticArc>, DecodeError>>,
+    /// Direct arcs plus resolved indirect arcs (`resolve_indirect` on).
+    resolved: OnceLock<Result<ArcDiscovery, DecodeError>>,
+}
+
+impl PreparedExecutable<'static> {
+    /// Takes `exe` and derives its whole static call graph now, on
+    /// `jobs` workers: the start-up step of a long-lived server. The
+    /// result is the same for every `jobs` value.
+    pub fn new(exe: Executable, jobs: usize) -> Self {
+        let prepared = PreparedExecutable::from_cow(Cow::Owned(exe));
+        let jobs = jobs.max(1);
+        prepared.direct(jobs);
+        prepared.resolved(jobs);
+        prepared
+    }
+}
+
+impl<'e> PreparedExecutable<'e> {
+    /// Borrows `exe` and derives each part of its static call graph the
+    /// first time an analysis needs it, so a single analysis pays for
+    /// exactly what its options use.
+    pub fn borrowed(exe: &'e Executable) -> Self {
+        PreparedExecutable::from_cow(Cow::Borrowed(exe))
+    }
+
+    fn from_cow(exe: Cow<'e, Executable>) -> Self {
+        PreparedExecutable { exe, direct: OnceLock::new(), resolved: OnceLock::new() }
+    }
+
+    /// The executable the call graph was derived from.
+    pub fn executable(&self) -> &Executable {
+        &self.exe
+    }
+
+    /// The static arcs an analysis under `options` merges into the
+    /// dynamic graph, and how many indirect call sites stay unresolved.
+    pub(crate) fn static_arcs(
+        &self,
+        options: &Options,
+    ) -> Result<(&[StaticArc], usize), DecodeError> {
+        let jobs = options.jobs.max(1);
+        if !options.use_static_graph {
+            Ok((&[], 0))
+        } else if options.resolve_indirect {
+            let discovery = self.resolved(jobs).as_ref().map_err(Clone::clone)?;
+            Ok((&discovery.arcs, discovery.unresolved.len()))
+        } else {
+            let arcs = self.direct(jobs).as_ref().map_err(Clone::clone)?;
+            Ok((arcs, 0))
+        }
+    }
+
+    fn direct(&self, jobs: usize) -> &Result<Vec<StaticArc>, DecodeError> {
+        self.direct.get_or_init(|| discover_static_arcs_jobs(&self.exe, jobs))
+    }
+
+    fn resolved(&self, jobs: usize) -> &Result<ArcDiscovery, DecodeError> {
+        self.resolved.get_or_init(|| discover_arcs_with_indirect_jobs(&self.exe, jobs))
+    }
+}

@@ -27,7 +27,7 @@
 //! standard-error-of-the-mean scaling.
 
 use graphprof::profile::assign_sample_moments;
-use graphprof::{Analysis, AnalyzeError, Gprof, Options};
+use graphprof::{Analysis, AnalyzeError, Gprof, Options, PreparedExecutable};
 use graphprof_machine::Executable;
 use graphprof_monitor::GmonData;
 
@@ -125,6 +125,24 @@ pub fn compare(
     after: &GmonData,
     opts: &CompareOptions,
 ) -> Result<RegressReport, CompareError> {
+    compare_prepared(&PreparedExecutable::borrowed(exe), before, after, opts)
+}
+
+/// [`compare`] against an executable whose static call graph is derived
+/// once and shared: both sides' analyses read the same crawl, and a
+/// caller comparing many pairs (a collection server) derives it once in
+/// all. The report is identical to [`compare`]'s.
+///
+/// # Errors
+///
+/// As [`compare`].
+pub fn compare_prepared(
+    prepared: &PreparedExecutable<'_>,
+    before: &GmonData,
+    after: &GmonData,
+    opts: &CompareOptions,
+) -> Result<RegressReport, CompareError> {
+    let exe = prepared.executable();
     if before.cycles_per_tick() != after.cycles_per_tick() {
         return Err(CompareError::TickMismatch {
             before: before.cycles_per_tick(),
@@ -139,8 +157,9 @@ pub fn compare(
     let (moments_a, _) = assign_sample_moments(after.histogram(), symbols);
     let calls_b = calls_per_symbol(exe, before);
     let calls_a = calls_per_symbol(exe, after);
-    let analysis_b = Gprof::new(Options::default()).analyze(exe, before)?;
-    let analysis_a = Gprof::new(Options::default()).analyze(exe, after)?;
+    let gprof = Gprof::new(Options::default());
+    let analysis_b = gprof.analyze_prepared(prepared, before)?;
+    let analysis_a = gprof.analyze_prepared(prepared, after)?;
     let totals_b = totals_in_ticks(&analysis_b, before, symbols.len());
     let totals_a = totals_in_ticks(&analysis_a, after, symbols.len());
 

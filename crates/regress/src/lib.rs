@@ -25,7 +25,7 @@
 pub mod engine;
 pub mod report;
 
-pub use engine::{compare, CompareError, CompareOptions, Thresholds};
+pub use engine::{compare, compare_prepared, CompareError, CompareOptions, Thresholds};
 pub use report::{diff_to_json, milli, RegressReport, RoutineScore};
 
 #[cfg(test)]

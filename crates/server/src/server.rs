@@ -458,7 +458,7 @@ fn query(shared: &Shared, series: &str, kind: QueryKind) -> Response {
         QueryKind::Sum => Response::Blob(aggregate.to_bytes()),
         QueryKind::Flat | QueryKind::Graph => {
             let analysis = match Gprof::new(analysis_options(shared))
-                .analyze(shared.store.executable(), &aggregate)
+                .analyze_prepared(shared.store.prepared(), &aggregate)
             {
                 Ok(a) => a,
                 Err(e) => return Response::Error(format!("analysis failed: {e}")),
@@ -476,8 +476,8 @@ fn diff(shared: &Shared, before: &str, after: &str, format: ReportFormat) -> Res
         return Response::Error(format!("no such series `{before}` and/or `{after}`"));
     };
     let gprof = Gprof::new(analysis_options(shared));
-    let exe = shared.store.executable();
-    match (gprof.analyze(exe, &a), gprof.analyze(exe, &b)) {
+    let prepared = shared.store.prepared();
+    match (gprof.analyze_prepared(prepared, &a), gprof.analyze_prepared(prepared, &b)) {
         (Ok(a), Ok(b)) => {
             let diff = diff_profiles(&a, &b);
             Response::Text(match format {
@@ -504,6 +504,9 @@ fn regress(
 ) -> Response {
     let store = &shared.store;
     let missing = |series: &str| Response::Error(format!("no such series `{series}`"));
+    // Exactly the series `aggregate` answers for (known, with something
+    // folded in), without merging an aggregate only to drop it.
+    let holds_profiles = |series: &str| store.series_total(series).is_some_and(|n| n > 0);
     let (before_gmon, before_windows, after_gmon) = match scope {
         RegressScope::Aggregate => {
             let Some(b) = store.aggregate(before) else {
@@ -515,10 +518,10 @@ fn regress(
             (b, 1, a)
         }
         RegressScope::Window(n) => {
-            if store.aggregate(before).is_none() {
+            if !holds_profiles(before) {
                 return missing(before);
             }
-            if store.aggregate(after).is_none() {
+            if !holds_profiles(after) {
                 return missing(after);
             }
             let Some(b) = store.window(before, n) else {
@@ -534,10 +537,10 @@ fn regress(
             (b, 1, a)
         }
         RegressScope::Baseline(k) => {
-            if store.aggregate(before).is_none() {
+            if !holds_profiles(before) {
                 return missing(before);
             }
-            if store.aggregate(after).is_none() {
+            if !holds_profiles(after) {
                 return missing(after);
             }
             let Some((sum, folded)) = store.baseline(before, k) else {
@@ -554,7 +557,7 @@ fn regress(
         }
     };
     let opts = graphprof_regress::CompareOptions { thresholds, before_windows };
-    match graphprof_regress::compare(store.executable(), &before_gmon, &after_gmon, &opts) {
+    match graphprof_regress::compare_prepared(store.prepared(), &before_gmon, &after_gmon, &opts) {
         Ok(report) => Response::Regress {
             regressed: !report.is_clean(),
             report: match format {

@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use graphprof::ProfileAccumulator;
+use graphprof::{PreparedExecutable, ProfileAccumulator};
 use graphprof_machine::Executable;
 use graphprof_monitor::GmonData;
 
@@ -389,9 +389,12 @@ struct CheckpointGauges {
 /// they hash to the same stripe.
 #[derive(Debug)]
 pub struct SeriesStore {
-    exe: Executable,
-    /// Static analysis of `exe`, prebuilt once so per-upload validation
-    /// pays only the profile-dependent cross-checks.
+    /// The served executable with its static call graph derived once,
+    /// so queries, diffs and regressions pay only the profile-dependent
+    /// half of post-processing.
+    prepared: PreparedExecutable<'static>,
+    /// Static analysis of the executable, prebuilt once so per-upload
+    /// validation pays only the profile-dependent cross-checks.
     checker: graphprof_analysis::ProfileChecker,
     max_series: usize,
     stripes: Vec<Arc<StripeShared>>,
@@ -426,6 +429,7 @@ impl SeriesStore {
     pub fn with_options(exe: Executable, opts: StoreOptions) -> Self {
         let stripes = opts.stripes.max(1);
         let checker = graphprof_analysis::ProfileChecker::build_jobs(&exe, opts.jobs.max(1));
+        let prepared = PreparedExecutable::new(exe, opts.jobs);
         let stripe_shared: Vec<Arc<StripeShared>> = (0..stripes)
             .map(|_| {
                 let shared = Arc::new(StripeShared::default());
@@ -434,7 +438,7 @@ impl SeriesStore {
             })
             .collect();
         SeriesStore {
-            exe,
+            prepared,
             checker,
             max_series: opts.max_series.max(1),
             stripes: stripe_shared,
@@ -601,7 +605,13 @@ impl SeriesStore {
 
     /// The executable uploads are validated and rendered against.
     pub fn executable(&self) -> &Executable {
-        &self.exe
+        self.prepared.executable()
+    }
+
+    /// The executable with its static call graph, derived when the
+    /// store was built; every query analysis reads it.
+    pub fn prepared(&self) -> &PreparedExecutable<'static> {
+        &self.prepared
     }
 
     /// Validates `blob` and folds it into `series` as sequence `seq`.
@@ -1769,6 +1779,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The static call graph is derived at open; a text that does not
+    /// decode must not fail the open, and an analysis against the store
+    /// reports what a one-shot analysis reports.
+    #[test]
+    fn undecodable_text_opens_and_analyzes_like_one_shot() {
+        use graphprof::{AnalyzeError, Gprof};
+        use graphprof_machine::{Addr, Symbol, SymbolTable};
+        use graphprof_monitor::Histogram;
+        let base = Addr::new(0x1000);
+        let symbols = SymbolTable::new(vec![Symbol::new("junk", base, 4, false)]);
+        let exe = Executable::new(base, vec![0xee; 4], symbols, base);
+        let dir = tmpdir("undecodable");
+        let opts = StoreOptions { stripes: 2, jobs: 2, ..StoreOptions::default() };
+        let (store, recovery) = SeriesStore::open(exe.clone(), &dir, opts).unwrap();
+        assert_eq!(recovery.records(), 0);
+        let gmon = GmonData::new(10, Histogram::new(base, 4, 0), vec![]);
+        let err = Gprof::default().analyze_prepared(store.prepared(), &gmon).unwrap_err();
+        assert!(matches!(err, AnalyzeError::Decode(_)), "{err:?}");
+        assert_eq!(Gprof::default().analyze(&exe, &gmon).unwrap_err(), err);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

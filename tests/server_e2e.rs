@@ -487,25 +487,111 @@ fn remote_regress_gates_series_against_retained_windows() {
         .expect("baseline");
     assert!(!regressed, "{report}");
 
-    // Unknown series are typed rejects for diff and regress alike, and
-    // the connection survives every one of them.
+    // Unknown series are typed rejects for diff and regress alike, in
+    // every scope, and the connection survives every one of them.
     for (before, after) in [("nope", "base"), ("base", "nope")] {
         let err = client
             .diff(before, after, graphprof_server::ReportFormat::Text)
             .expect_err("unknown series");
         assert!(err.to_string().contains("no such series"), "{err}");
-        let err = client
-            .regress(
-                before,
-                after,
-                graphprof_server::RegressScope::Aggregate,
-                &graphprof_regress::Thresholds::default(),
-                graphprof_server::ReportFormat::Text,
-            )
-            .expect_err("unknown series");
-        assert!(err.to_string().contains("no such series"), "{err}");
+        for scope in [
+            graphprof_server::RegressScope::Aggregate,
+            graphprof_server::RegressScope::Window(1),
+            graphprof_server::RegressScope::Baseline(1),
+        ] {
+            let err = client
+                .regress(
+                    before,
+                    after,
+                    scope,
+                    &graphprof_regress::Thresholds::default(),
+                    graphprof_server::ReportFormat::Text,
+                )
+                .expect_err("unknown series");
+            assert!(err.to_string().contains("no such series `nope`"), "{scope:?}: {err}");
+        }
     }
     client.stats().expect("still usable");
+}
+
+/// The server analyzes through the static call graph it derived at
+/// start-up; every read verb must still equal the offline one-shot
+/// pipeline over the same aggregate, at one stripe and at four.
+#[test]
+fn read_verbs_match_offline_one_shot_renders() {
+    use graphprof_regress::{compare, CompareOptions, Thresholds};
+    use graphprof_server::{RegressScope, ReportFormat};
+    const K: u64 = 3;
+    let exe = kernel_exe();
+    let blobs = windows(&exe, 6);
+    let parsed: Vec<GmonData> = blobs.iter().map(|b| GmonData::from_bytes(b).unwrap()).collect();
+    let sum = |windows: &[GmonData]| graphprof::sum_profiles(windows.iter()).unwrap();
+    let gprof = Gprof::new(Options::default());
+    let app = gprof.analyze(&exe, &sum(&parsed)).unwrap();
+    let base = gprof.analyze(&exe, &sum(&parsed[..2])).unwrap();
+    let diff = graphprof::diff_profiles(&base, &app);
+    let newest = parsed.len() - 1;
+    let opts = CompareOptions { thresholds: Thresholds::default(), before_windows: K };
+    let verdict =
+        compare(&exe, &sum(&parsed[newest - K as usize..newest]), &parsed[newest], &opts).unwrap();
+
+    for stripes in [1usize, 4] {
+        let config = ServerConfig { jobs: 2, stripes, retain: 6, ..ServerConfig::default() };
+        let handle = start(config, &[]);
+        let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
+        for (seq, blob) in blobs.iter().enumerate() {
+            client.upload("app", seq as u64, blob).expect("accepted");
+        }
+        for (seq, blob) in blobs[..2].iter().enumerate() {
+            client.upload("base", seq as u64, blob).expect("accepted");
+        }
+        let at = format!("stripes={stripes}");
+        assert_eq!(client.query_text("app", QueryKind::Flat).unwrap(), app.render_flat(), "{at}");
+        assert_eq!(
+            client.query_text("app", QueryKind::Graph).unwrap(),
+            app.render_call_graph(),
+            "{at}"
+        );
+        assert_eq!(client.diff("base", "app", ReportFormat::Text).unwrap(), diff.render(), "{at}");
+        assert_eq!(
+            client.diff("base", "app", ReportFormat::Json).unwrap(),
+            graphprof_regress::diff_to_json(&diff).to_pretty(),
+            "{at}"
+        );
+        let regress = |client: &mut Client, format| {
+            client
+                .regress("app", "app", RegressScope::Baseline(K), &Thresholds::default(), format)
+                .unwrap()
+        };
+        assert_eq!(
+            regress(&mut client, ReportFormat::Text),
+            (!verdict.is_clean(), verdict.render_text("app", "app")),
+            "{at}"
+        );
+        assert_eq!(
+            regress(&mut client, ReportFormat::Json),
+            (!verdict.is_clean(), verdict.to_json("app", "app").to_pretty()),
+            "{at}"
+        );
+        handle.shutdown();
+    }
+}
+
+/// The static call graph is derived when the server starts; an
+/// executable whose text does not decode must still start, serve, and
+/// drain without a panic.
+#[test]
+fn undecodable_executable_still_serves() {
+    use graphprof_machine::{Addr, Symbol, SymbolTable};
+    let base = Addr::new(0x1000);
+    let symbols = SymbolTable::new(vec![Symbol::new("junk", base, 4, false)]);
+    let exe = Executable::new(base, vec![0xee; 4], symbols, base);
+    let handle = Server::start(ephemeral(2), exe, &[]).expect("starts");
+    let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
+    let err = client.query_text("web", QueryKind::Flat).expect_err("nothing uploaded");
+    assert!(err.to_string().contains("no such series"), "{err}");
+    client.stats().expect("still usable");
+    assert_eq!(handle.shutdown().frame_errors, 0);
 }
 
 /// Without `--retain` the window and baseline scopes are typed rejects
