@@ -5,7 +5,7 @@
 //! to replay. For each point the harness appends N uploads to a
 //! fresh data directory (small segments force rotation, so larger N
 //! also means more segment files), tears the final record the way a
-//! crash mid-write would, then times `SeriesStore::with_wal` — salvage
+//! crash mid-write would, then times `SeriesStore::open` — salvage
 //! plus full replay — and verifies the recovered aggregate is
 //! byte-identical to the offline `sum_profiles` fold over the
 //! acknowledged uploads before reporting a number.
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use graphprof_machine::{CompileOptions, Machine, MachineConfig};
 use graphprof_monitor::RuntimeProfiler;
-use graphprof_server::{FaultPlan, FaultSpec, SeriesStore};
+use graphprof_server::{FaultPlan, FaultSpec, SeriesStore, StoreOptions};
 use graphprof_workloads::paper::kernel_program;
 
 /// Sampling granularity of the generated windows.
@@ -36,6 +36,11 @@ const POINTS: [usize; 4] = [16, 64, 256, 1024];
 const SEGMENT_BYTES: u64 = 64 << 10;
 /// Timed repetitions per point; the fastest repetition wins.
 const REPS: usize = 3;
+
+/// The measured store: one stripe, small segments, `fault` injected.
+fn store_options(fault: FaultPlan) -> StoreOptions {
+    StoreOptions { max_series: 8, segment_bytes: SEGMENT_BYTES, fault, ..StoreOptions::default() }
+}
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_chaos.json".to_string());
@@ -123,9 +128,8 @@ fn run() -> Result<String, String> {
                 ..FaultSpec::default()
             });
             {
-                let (store, _) =
-                    SeriesStore::with_wal(exe.clone(), 8, 1, &dir, SEGMENT_BYTES, fault)
-                        .map_err(|e| format!("open: {e}"))?;
+                let (store, _) = SeriesStore::open(exe.clone(), &dir, store_options(fault))
+                    .map_err(|e| format!("open: {e}"))?;
                 for (seq, blob) in payload.iter().enumerate() {
                     store
                         .upload("web", seq as u64, blob)
@@ -140,7 +144,7 @@ fn run() -> Result<String, String> {
 
             let start = Instant::now();
             let (recovered, recovery) =
-                SeriesStore::with_wal(exe.clone(), 8, 1, &dir, SEGMENT_BYTES, FaultPlan::none())
+                SeriesStore::open(exe.clone(), &dir, store_options(FaultPlan::none()))
                     .map_err(|e| format!("recovery open: {e}"))?;
             let elapsed = start.elapsed();
 
@@ -176,9 +180,8 @@ fn run() -> Result<String, String> {
                 ..FaultSpec::default()
             });
             {
-                let (store, _) =
-                    SeriesStore::with_wal(exe.clone(), 8, 1, &dir, SEGMENT_BYTES, fault)
-                        .map_err(|e| format!("open: {e}"))?;
+                let (store, _) = SeriesStore::open(exe.clone(), &dir, store_options(fault))
+                    .map_err(|e| format!("open: {e}"))?;
                 for (seq, blob) in payload.iter().enumerate() {
                     store
                         .upload("web", seq as u64, blob)
@@ -195,7 +198,7 @@ fn run() -> Result<String, String> {
 
             let start = Instant::now();
             let (recovered, recovery) =
-                SeriesStore::with_wal(exe.clone(), 8, 1, &dir, SEGMENT_BYTES, FaultPlan::none())
+                SeriesStore::open(exe.clone(), &dir, store_options(FaultPlan::none()))
                     .map_err(|e| format!("checkpointed recovery open: {e}"))?;
             let elapsed = start.elapsed();
 

@@ -3,10 +3,10 @@
 //! Boots an in-process durable `graphprof-server` on an ephemeral
 //! loopback port and measures data-plane upload throughput across the
 //! full scaling matrix: 1 → 256 concurrent client connections, at
-//! stripe counts {1, 4, 8}, with group commit on — plus the pre-stripe
-//! baseline (1 stripe, one fsync per upload) the refactor replaces.
-//! Every server is durable (write-ahead log on the real filesystem), so
-//! the numbers include the cost the ack-release rule actually pays.
+//! stripe counts {1, 4, 8}, each group-committing its uploads (one
+//! fsync per batch). Every server is durable (write-ahead log on the
+//! real filesystem), so the numbers include the cost the ack-release
+//! rule actually pays.
 //!
 //! Each client thread uploads into its own series, the shape a fleet of
 //! continuously profiled hosts produces, so series spread across
@@ -46,14 +46,8 @@ const REPS: usize = 4;
 /// Per-call client deadline.
 const TIMEOUT: Duration = Duration::from_secs(60);
 
-/// The measured server shapes. `group_commit_ms: None` is the
-/// pre-stripe baseline: one fsync per upload, under the stripe lock.
-const CONFIGS: [(&str, usize, Option<u64>); 4] = [
-    ("s1-fsync-per-upload", 1, None),
-    ("s1-group", 1, Some(0)),
-    ("s4-group", 4, Some(0)),
-    ("s8-group", 8, Some(0)),
-];
+/// The measured server shapes: name and stripe count.
+const CONFIGS: [(&str, usize); 3] = [("s1-group", 1), ("s4-group", 4), ("s8-group", 8)];
 
 fn main() {
     let out_path = std::env::args().nth(1).unwrap_or_else(|| "BENCH_serve.json".to_string());
@@ -208,7 +202,7 @@ fn run() -> Result<String, String> {
 
     // rows: (config name, clients, best_ms, uploads/sec)
     let mut rows: Vec<(&str, usize, f64, f64)> = Vec::new();
-    for &(name, stripes, group_commit_ms) in &CONFIGS {
+    for &(name, stripes) in &CONFIGS {
         for &clients in &CLIENTS {
             let per_client = UPLOADS / clients;
             let mut best_ms = f64::INFINITY;
@@ -220,7 +214,6 @@ fn run() -> Result<String, String> {
                     bind: "127.0.0.1:0".to_string(),
                     max_series: (clients + 8).max(64),
                     stripes,
-                    group_commit: group_commit_ms.map(Duration::from_millis),
                     data_dir: Some(dir.clone()),
                     ..ServerConfig::default()
                 };
@@ -285,16 +278,6 @@ fn run() -> Result<String, String> {
 
     let (delta_windows, full_wire, delta_wire) = measure_delta_wire()?;
 
-    let rate = |name: &str, clients: usize| {
-        rows.iter().find(|(n, c, _, _)| *n == name && *c == clients).map(|&(_, _, _, r)| r)
-    };
-    let speedup = |clients: usize| -> f64 {
-        match (rate("s8-group", clients), rate("s1-fsync-per-upload", clients)) {
-            (Some(fast), Some(base)) if base > 0.0 => fast / base,
-            _ => 0.0,
-        }
-    };
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"serve\",");
@@ -305,13 +288,9 @@ fn run() -> Result<String, String> {
          \"window_pool_bytes\": {blob_bytes}, \"cycles_per_tick\": {TICK}, \"durable\": true}},"
     );
     let _ = writeln!(json, "  \"configs\": [");
-    for (i, (name, stripes, group_commit_ms)) in CONFIGS.iter().enumerate() {
+    for (i, (name, stripes)) in CONFIGS.iter().enumerate() {
         let comma = if i + 1 < CONFIGS.len() { "," } else { "" };
-        let gc = group_commit_ms.map_or("null".to_string(), |ms| ms.to_string());
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"stripes\": {stripes}, \"group_commit_ms\": {gc}}}{comma}"
-        );
+        let _ = writeln!(json, "    {{\"name\": \"{name}\", \"stripes\": {stripes}}}{comma}");
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"results\": [");
@@ -324,11 +303,6 @@ fn run() -> Result<String, String> {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"speedup_s8_group_vs_s1_fsync\": {{");
-    let _ = writeln!(json, "    \"64_clients\": {:.2},", speedup(64));
-    let _ = writeln!(json, "    \"128_clients\": {:.2},", speedup(128));
-    let _ = writeln!(json, "    \"256_clients\": {:.2}", speedup(256));
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"delta_wire\": {{");
     let _ = writeln!(json, "    \"windows\": {delta_windows},");
     let _ = writeln!(json, "    \"full_bytes\": {full_wire},");

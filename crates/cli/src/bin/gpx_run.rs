@@ -7,7 +7,7 @@ use graphprof_cli::{run, Args, CliError};
 
 const USAGE: &str = "gpx-run <prog.gpx> [--profile gmon.out] [--tick N] \
                      [--shift N] [--max-cycles N] [--monitor-only routine] [--no-profile] \
-                     [--jobs N] [--tick-batch N] [--prefetch]";
+                     [--jobs N] [--tick-batch N]";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -15,7 +15,7 @@ fn main() {
     let result = Args::parse(
         &argv,
         &["profile", "tick", "shift", "max-cycles", "monitor-only", "jobs", "tick-batch"],
-        &["no-profile", "prefetch"],
+        &["no-profile"],
     )
     .and_then(|args| run(&args));
     match result {

@@ -15,7 +15,7 @@ const USAGE: &str = "graphprof <prog.gpx> <gmon.out|dir|pattern...> \
                      graphprof check <prog.gpx> <gmon.out> [--jobs N] [--salvage]\n\
                      graphprof analyze <prog.gpx> <gmon.out> [--jobs N] [--salvage] [--deny CODES] [--warn CODES] [--allow CODES] [--json FILE]\n\
                      graphprof regress <prog.gpx> <before> <after> [--min-sigma S] [--min-ticks T] [--min-pct P] [--json FILE]\n\
-                     graphprof serve <prog.gpx> [--bind ADDR] [--vm NAME]... [--max-frame BYTES] [--max-series N] [--tick N] [--slice CYCLES] [--timeout-ms N] [--jobs N] [--data-dir DIR] [--wal-segment-bytes N] [--stripes N] [--group-commit-ms N | --no-group-commit] [--retain K] [--checkpoint-bytes N] [--checkpoint-records N]\n\
+                     graphprof serve <prog.gpx> [--bind ADDR] [--vm NAME]... [--max-frame BYTES] [--max-series N] [--tick N] [--slice CYCLES] [--timeout-ms N] [--jobs N] [--data-dir DIR] [--wal-segment-bytes N] [--stripes N] [--retain K] [--checkpoint-bytes N] [--checkpoint-records N]\n\
                      graphprof remote <addr> <on|off|status|reset|extract|moncontrol|flat|graph|sum|diff|regress|stats|checkpoint> [...] [--vm NAME] [--timeout-ms N] [--retries N] [--retry-base-ms N] [--window N | --baseline K] [--min-sigma S] [--min-ticks T] [--min-pct P] [--json]";
 
 fn fail(e: &CliError) -> ! {
@@ -46,12 +46,11 @@ fn serve_main(argv: &[String]) -> ! {
             "data-dir",
             "wal-segment-bytes",
             "stripes",
-            "group-commit-ms",
             "retain",
             "checkpoint-bytes",
             "checkpoint-records",
         ],
-        &["no-group-commit"],
+        &[],
     )
     .and_then(|args| serve(&args));
     match parsed {

@@ -208,14 +208,14 @@ pub fn assemble(args: &Args) -> Result<String, CliError> {
 
 /// `gpx-run <prog.gpx> [--profile gmon.out] [--tick N] [--shift N]
 /// [--max-cycles N] [--monitor-only routine] [--no-profile] [--jobs N]
-/// [--tick-batch N] [--prefetch]`
+/// [--tick-batch N]`
 ///
 /// Runs an executable under the monitoring runtime and condenses the
 /// profile data to a file at exit, like a `-pg` program writing
 /// `gmon.out`. `--monitor-only` restricts recording to one routine's
-/// address range (the moncontrol(3) facility). `--tick-batch` and
-/// `--prefetch` (also `GRAPHPROF_PREFETCH=1`) tune the monitoring hot
-/// paths; by contract neither changes a byte of the profile.
+/// address range (the moncontrol(3) facility). `--tick-batch` tunes
+/// tick delivery on the monitoring hot path; by contract it never
+/// changes a byte of the profile.
 ///
 /// # Errors
 ///
@@ -229,8 +229,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let shift = args.int_value("shift")?.unwrap_or(0) as u8;
     let budget = args.int_value("max-cycles")?;
     let profiling = !args.switch("no-profile");
-    let prefetch = args.switch("prefetch")
-        || std::env::var("GRAPHPROF_PREFETCH").is_ok_and(|v| v != "0" && !v.is_empty());
 
     let default_config = MachineConfig::default();
     let config = MachineConfig {
@@ -243,7 +241,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         ..default_config
     };
     let mut machine = Machine::with_config(exe.clone(), config);
-    let mut profiler = RuntimeProfiler::with_granularity(&exe, tick, shift).arc_prefetch(prefetch);
+    let mut profiler = RuntimeProfiler::with_granularity(&exe, tick, shift);
     if let Some(name) = args.value("monitor-only") {
         let Some((_, sym)) = exe.symbols().by_name(name) else {
             return Err(CliError::Usage(format!("--monitor-only names unknown routine `{name}`")));
@@ -799,19 +797,17 @@ mod tests {
             let args = parse(
                 &argv,
                 &["profile", "tick", "shift", "max-cycles", "monitor-only", "tick-batch"],
-                &["no-profile", "prefetch"],
+                &["no-profile"],
             );
             run(&args).expect("runs");
             fs::read(&gmon).expect("reads")
         };
         let baseline = run_with("gmon.default", &[]);
-        // Immediate delivery, tiny batches, huge batches, and the
-        // prefetching probe must all write the identical file.
+        // Immediate delivery, tiny batches, and huge batches must all
+        // write the identical file.
         assert_eq!(run_with("gmon.batch1", &["--tick-batch", "1"]), baseline);
         assert_eq!(run_with("gmon.batch3", &["--tick-batch", "3"]), baseline);
         assert_eq!(run_with("gmon.batch1m", &["--tick-batch", "1048576"]), baseline);
-        assert_eq!(run_with("gmon.prefetch", &["--prefetch"]), baseline);
-        assert_eq!(run_with("gmon.both", &["--prefetch", "--tick-batch", "7"]), baseline);
     }
 
     #[test]

@@ -48,8 +48,8 @@ fn connect(args: &Args, addr: &str) -> Result<ResilientClient, CliError> {
 /// `graphprof serve <prog.gpx> [--bind ADDR] [--vm NAME]... [--jobs N]
 /// [--max-frame BYTES] [--max-series N] [--tick N] [--slice CYCLES]
 /// [--timeout-ms N] [--data-dir DIR] [--wal-segment-bytes N]
-/// [--stripes N] [--group-commit-ms N | --no-group-commit] [--retain K]
-/// [--checkpoint-bytes N] [--checkpoint-records N]`
+/// [--stripes N] [--retain K] [--checkpoint-bytes N]
+/// [--checkpoint-records N]`
 ///
 /// Starts the collection server for one executable: uploads are
 /// validated against it and `--vm` hosts named profiled VMs running it
@@ -58,9 +58,8 @@ fn connect(args: &Args, addr: &str) -> Result<ResilientClient, CliError> {
 /// log under that directory before it is acknowledged, and a restart
 /// replays the log to the byte-identical aggregate. Ingest is sharded
 /// over `--stripes` (default 4, pinned per data directory) and durable
-/// uploads are group-committed — one fsync per batch, held open
-/// `--group-commit-ms` (default 0: flush as fast as the commit worker
-/// drains); `--no-group-commit` restores one fsync per upload. With
+/// uploads are group-committed — one fsync per batch, flushed as fast
+/// as the commit leader drains its queue. With
 /// `--retain K` every series additionally keeps its last K uploaded
 /// windows — rebuilt by WAL replay when durable — for
 /// `remote regress --window/--baseline` queries. With
@@ -111,11 +110,6 @@ pub fn serve(args: &Args) -> Result<(ServerHandle, String), CliError> {
     }
     if let Some(n) = args.int_value("stripes")? {
         config.stripes = (n as usize).clamp(1, 256);
-    }
-    if args.switch("no-group-commit") {
-        config.group_commit = None;
-    } else if let Some(ms) = args.int_value("group-commit-ms")? {
-        config.group_commit = Some(Duration::from_millis(ms));
     }
     if let Some(k) = args.int_value("retain")? {
         config.retain = k as usize;

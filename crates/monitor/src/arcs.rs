@@ -23,37 +23,8 @@
 //! Both tables report the number of secondary probes per record; the
 //! [`RuntimeProfiler`](crate::RuntimeProfiler) turns probes into cycles
 //! charged to the profiled program's clock.
-//!
-//! Each table also carries an optional software-prefetch mode for the
-//! probe loop (the ROADMAP's prefetch experiment): the head node of a
-//! bucket's chain is prefetched as soon as the bucket is read, and each
-//! chain link is prefetched one step ahead of the key comparison. The
-//! mode changes instruction scheduling only — recorded arcs, probe
-//! counts, and statistics are identical with it on or off. See
-//! `docs/PERFORMANCE.md` for the measured outcome.
 
 use graphprof_machine::Addr;
-
-/// Issues a best-effort cache prefetch for the node `slot` points at
-/// (`slot` is index+1; 0 — the chain terminator — is ignored). A no-op
-/// on targets without a prefetch hint.
-#[inline(always)]
-fn prefetch_node(nodes: &[ArcNode], slot: u32) {
-    #[cfg(target_arch = "x86_64")]
-    if slot != 0 {
-        if let Some(node) = nodes.get((slot - 1) as usize) {
-            // SAFETY: prefetch has no architectural effect; the pointer is
-            // derived from a live in-bounds reference.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    (node as *const ArcNode).cast(),
-                );
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (nodes, slot);
-}
 
 /// A condensed call graph arc: the record written to the profile file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -146,9 +117,6 @@ struct AddressIndexedTable {
     max_arcs: usize,
     /// Traversals lost to the capacity limit.
     dropped: u64,
-    /// Software-prefetch the probe chain (scheduling hint only; never
-    /// affects results).
-    prefetch: bool,
 }
 
 impl AddressIndexedTable {
@@ -163,7 +131,6 @@ impl AddressIndexedTable {
             max_chain: 0,
             max_arcs: usize::MAX,
             dropped: 0,
-            prefetch: false,
         }
     }
 
@@ -185,16 +152,8 @@ impl AddressIndexedTable {
         let bucket = self.bucket(primary);
         let mut probes = 0u64;
         let mut slot = self.heads[bucket];
-        if self.prefetch {
-            // Overlap the head node's cache fill with the loop setup.
-            prefetch_node(&self.nodes, slot);
-        }
         while slot != 0 {
             probes += 1;
-            if self.prefetch {
-                // Fetch the next link one comparison ahead of needing it.
-                prefetch_node(&self.nodes, self.nodes[(slot - 1) as usize].link);
-            }
             let node = &mut self.nodes[(slot - 1) as usize];
             if node.from_pc == from_pc && node.self_pc == self_pc {
                 node.count += 1;
@@ -280,25 +239,6 @@ impl CallSiteTable {
         CallSiteTable { inner: AddressIndexedTable::new(base, text_len) }
     }
 
-    /// Like [`CallSiteTable::new`], with the probe-loop software prefetch
-    /// switched on or off up front.
-    pub fn with_prefetch(base: Addr, text_len: u32, prefetch: bool) -> Self {
-        let mut table = CallSiteTable::new(base, text_len);
-        table.set_prefetch(prefetch);
-        table
-    }
-
-    /// Enables or disables probe-loop software prefetching. A pure
-    /// scheduling hint: recorded arcs and statistics never change.
-    pub fn set_prefetch(&mut self, prefetch: bool) {
-        self.inner.prefetch = prefetch;
-    }
-
-    /// Whether probe-loop prefetching is enabled.
-    pub fn prefetch(&self) -> bool {
-        self.inner.prefetch
-    }
-
     /// Caps the table at `max_arcs` distinct arcs. Traversals of arcs
     /// that cannot be stored once the limit is reached are counted in
     /// [`ArcStats::dropped`] instead of being lost silently. Arcs already
@@ -345,24 +285,6 @@ impl CalleeTable {
     /// bytes.
     pub fn new(base: Addr, text_len: u32) -> Self {
         CalleeTable { inner: AddressIndexedTable::new(base, text_len) }
-    }
-
-    /// Like [`CalleeTable::new`], with the probe-loop software prefetch
-    /// switched on or off up front.
-    pub fn with_prefetch(base: Addr, text_len: u32, prefetch: bool) -> Self {
-        let mut table = CalleeTable::new(base, text_len);
-        table.set_prefetch(prefetch);
-        table
-    }
-
-    /// Enables or disables probe-loop software prefetching.
-    pub fn set_prefetch(&mut self, prefetch: bool) {
-        self.inner.prefetch = prefetch;
-    }
-
-    /// Whether probe-loop prefetching is enabled.
-    pub fn prefetch(&self) -> bool {
-        self.inner.prefetch
     }
 
     /// Caps the table at `max_arcs` distinct arcs; overflow traversals
@@ -560,40 +482,6 @@ mod tests {
         // The deepest walk must have traversed the full fan-out chain.
         assert!(s.max_chain >= 32, "max_chain {} should reach the fan-out depth", s.max_chain);
         assert!(s.mean_probes() > 1.0);
-    }
-
-    #[test]
-    fn prefetch_variant_is_observationally_identical() {
-        for collision_heavy in [false, true] {
-            let mut plain = CallSiteTable::with_prefetch(BASE, 0x1000, false);
-            let mut prefetched = CallSiteTable::with_prefetch(BASE, 0x1000, true);
-            assert!(!plain.prefetch());
-            assert!(prefetched.prefetch());
-            let stream: Vec<(Addr, Addr)> = if collision_heavy {
-                collision_stream()
-            } else {
-                (0..256u32).map(|i| (Addr::new(0x1000 + i * 8), Addr::new(0x1800))).collect()
-            };
-            for &(site, callee) in &stream {
-                let p = plain.record(site, callee);
-                let q = prefetched.record(site, callee);
-                assert_eq!(p, q, "probe count diverged at {site}->{callee}");
-            }
-            assert_eq!(plain.stats(), prefetched.stats());
-            assert_eq!(plain.arcs(), prefetched.arcs());
-        }
-    }
-
-    #[test]
-    fn prefetch_toggle_mid_stream_changes_nothing() {
-        let mut toggled = CalleeTable::new(BASE, 0x1000);
-        let mut plain = CalleeTable::new(BASE, 0x1000);
-        for (i, &(site, callee)) in collision_stream().iter().enumerate() {
-            toggled.set_prefetch(i % 2 == 0);
-            assert_eq!(toggled.record(site, callee), plain.record(site, callee));
-        }
-        assert_eq!(toggled.stats(), plain.stats());
-        assert_eq!(toggled.arcs(), plain.arcs());
     }
 
     #[test]

@@ -87,14 +87,6 @@ impl RuntimeProfiler<CallSiteTable> {
         )
     }
 
-    /// Enables or disables software prefetching in the arc-table probe
-    /// loop (builder-style). A scheduling hint only: recorded profiles
-    /// are byte-identical either way.
-    pub fn arc_prefetch(mut self, prefetch: bool) -> Self {
-        self.arcs.set_prefetch(prefetch);
-        self
-    }
-
     /// Caps the arc table at `max_arcs` distinct arcs (builder-style),
     /// modeling a fixed-size mcount buffer. Once full, traversals of
     /// unseen arcs are counted as dropped rather than stored; the count

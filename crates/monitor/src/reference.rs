@@ -1,7 +1,7 @@
 //! Frozen scalar reference implementations for differential testing.
 //!
-//! The monitoring hot paths (histogram recording, batched tick delivery,
-//! the prefetching arc probe) are optimized under a strict contract:
+//! The monitoring hot paths (histogram recording, batched tick delivery)
+//! are optimized under a strict contract:
 //! they must be byte-identical to the straightforward scalar code they
 //! replaced. This module keeps that scalar code alive — verbatim, one
 //! branch per sample, `Vec` indexing with bounds checks — so the

@@ -241,22 +241,6 @@ proptest! {
             a.total() + a.missed() + b.total() + b.missed() + c.total() + c.missed()
         );
     }
-
-    /// The prefetching probe is observationally identical to the plain
-    /// one on any record stream: same arcs, same probe accounting.
-    #[test]
-    fn prefetch_table_matches_plain(stream in arb_stream()) {
-        let mut plain = CallSiteTable::new(Addr::new(BASE), TEXT);
-        let mut prefetching = CallSiteTable::with_prefetch(Addr::new(BASE), TEXT, true);
-        for &(site, dest) in &stream {
-            let from = Addr::new(BASE + site * 8);
-            let to = Addr::new(BASE + 0x400 + dest * 16);
-            let probes = plain.record(from, to);
-            prop_assert_eq!(prefetching.record(from, to), probes);
-        }
-        prop_assert_eq!(plain.arcs(), prefetching.arcs());
-        prop_assert_eq!(plain.stats(), prefetching.stats());
-    }
 }
 
 proptest! {

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic   b"GPRS"     4 bytes
-//! version u16 LE      1, 2, or 3
+//! version u16 LE      4 (the only version spoken)
 //! kind    u8          message discriminant (see `proto`)
 //! flags   u8          reserved, 0
 //! len     u32 LE      payload length in bytes
@@ -17,14 +17,9 @@
 //! garbage frame is rejected after twelve bytes, which is what lets the
 //! server drop a hostile connection without ever buffering its payload.
 //!
-//! Version 2 added the delta-upload message pair; version 3 added the
-//! regress request/response pair and taught the diff request to carry a
-//! report format; version 4 added the checkpoint admin verb. The
-//! version a frame carries is the version its *kind* needs: legacy
-//! kinds still travel as version 1 and readers accept the whole
-//! [`MIN_VERSION`]`..=`[`VERSION`] range, so a version-1 client keeps
-//! working against a version-4 server — it only ever receives newer
-//! frames in reply to newer requests it cannot send.
+//! Every frame is written at [`VERSION`] and readers accept only
+//! [`VERSION`]: a peer speaking any other version is refused with
+//! [`WireError::UnsupportedVersion`] from the header alone.
 
 use std::error::Error;
 use std::fmt;
@@ -32,21 +27,9 @@ use std::io::{Read, Write};
 
 /// Frame magic: "GPRS" (graphprof-serve).
 pub const MAGIC: [u8; 4] = *b"GPRS";
-/// Newest protocol version this side speaks (regression gate).
+/// The protocol version every frame is written at and the only one
+/// readers accept.
 pub const VERSION: u16 = 4;
-/// Oldest protocol version readers still accept.
-pub const MIN_VERSION: u16 = 1;
-/// Message kinds introduced by version 2 of the protocol: the
-/// delta-upload request and the resync response (see `proto`). Frames
-/// of every other legacy kind are written as version 1, so old peers
-/// keep decoding everything a new peer can send them.
-const V2_KINDS: [u8; 2] = [0x06, 0x84];
-/// Message kinds that need version 3: the regress request/response
-/// pair, and the diff request now that it carries a report format.
-const V3_KINDS: [u8; 3] = [0x03, 0x07, 0x85];
-/// Message kinds that need version 4: the checkpoint admin
-/// request/response pair.
-const V4_KINDS: [u8; 2] = [0x08, 0x86];
 /// Fixed header size preceding every payload.
 pub const HEADER_LEN: usize = 12;
 /// Default cap on payload length enforced by readers.
@@ -167,18 +150,9 @@ pub fn encode_frame(frame: &Frame, max_payload: usize) -> Result<Vec<u8>, WireEr
     if frame.payload.len() > max_payload {
         return Err(WireError::Oversized { len: frame.payload.len(), max: max_payload });
     }
-    let version = if V4_KINDS.contains(&frame.kind) {
-        VERSION
-    } else if V3_KINDS.contains(&frame.kind) {
-        3
-    } else if V2_KINDS.contains(&frame.kind) {
-        2
-    } else {
-        MIN_VERSION
-    };
     let mut bytes = Vec::with_capacity(HEADER_LEN + frame.payload.len());
     bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(&VERSION.to_le_bytes());
     bytes.push(frame.kind);
     bytes.push(0);
     bytes.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
@@ -243,7 +217,7 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Option<Frame>
         return Err(WireError::BadMagic);
     }
     let version = u16::from_le_bytes([header[4], header[5]]);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireError::UnsupportedVersion { version });
     }
     let kind = header[6];
@@ -309,26 +283,23 @@ mod tests {
     }
 
     #[test]
-    fn version_tracks_what_the_kind_needs() {
-        // Legacy kinds stay on version 1 so old readers decode them;
-        // the delta-upload pair rides version 2; the regress pair and
-        // the format-carrying diff ride version 3; the checkpoint pair
-        // rides version 4; readers take all.
-        for (kind, version) in [
-            (0x01u8, 1u16),
-            (0x80, 1),
-            (0x06, 2),
-            (0x84, 2),
-            (0x03, 3),
-            (0x07, 3),
-            (0x85, 3),
-            (0x08, 4),
-            (0x86, 4),
-        ] {
-            let bytes = encode_frame(&Frame::new(kind, vec![]), 64).unwrap();
-            assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), version, "kind {kind:#x}");
+    fn every_kind_rides_the_one_version_and_no_other_is_read() {
+        for kind in [0x01u8, 0x80, 0x06, 0x84, 0x03, 0x07, 0x85, 0x08, 0x86] {
+            let mut bytes = encode_frame(&Frame::new(kind, vec![]), 64).unwrap();
+            assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION, "kind {kind:#x}");
             let frame = read_frame(&mut bytes.as_slice(), 64).unwrap().unwrap();
             assert_eq!(frame.kind, kind);
+            // Every older version, and the next one, is refused.
+            for version in [0u16, 1, 2, 3, VERSION + 1] {
+                bytes[4..6].copy_from_slice(&version.to_le_bytes());
+                assert!(
+                    matches!(
+                        read_frame(&mut bytes.as_slice(), 64),
+                        Err(WireError::UnsupportedVersion { version: v }) if v == version
+                    ),
+                    "kind {kind:#x} at version {version}"
+                );
+            }
         }
     }
 

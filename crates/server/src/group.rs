@@ -1,31 +1,28 @@
-//! The per-stripe group-commit batcher.
+//! The per-stripe group-commit batcher: the one way a durable upload
+//! reaches the disk.
 //!
-//! Without group commit every upload pays its own fsync under the
-//! stripe lock, so durability serializes clients. With it, connection
-//! handlers *stage* validated uploads on a queue and the commit runs
-//! leader/follower: the staging thread that finds no commit in progress
-//! becomes the leader, takes the whole queue — its own upload plus
-//! everything staged behind it — appends every record
+//! Connection handlers *stage* validated uploads on a queue and the
+//! commit runs leader/follower: the staging thread that finds no commit
+//! in progress becomes the leader, takes the whole queue — its own
+//! upload plus everything staged behind it — appends every record
 //! ([`Wal::append_buffered`]), makes the batch durable with a single
 //! [`Wal::commit`], folds the records into the stripe state in queue
 //! order, and releases every waiter. Threads that stage while a leader
 //! is mid-commit become followers: they park until the leader finishes,
 //! and the first follower whose upload was *not* in that batch leads
-//! the next one. The ack-release rule is therefore unchanged from the
-//! per-upload-fsync path — no client is acknowledged before its record
-//! is on disk — but the dominant syscall is paid once per batch instead
-//! of once per upload, and no handoff to a separate writer thread sits
-//! on the commit path.
+//! the next one. No client is acknowledged before its record is on
+//! disk, yet the dominant syscall is paid once per batch instead of
+//! once per upload, and no handoff to a separate writer thread sits on
+//! the commit path.
 //!
 //! Failure is all-or-nothing per batch: if any append or the commit
 //! fails, no record in the batch is folded or acknowledged, every
 //! waiter gets [`RejectReason::StorageFailed`], the staged sequence
 //! reservations are released, and the log stays wedged (fail-stop)
-//! until restart salvage.
+//! until a checkpoint heals it or a restart salvages it.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
 
 use graphprof_monitor::GmonData;
 
@@ -104,9 +101,6 @@ pub(crate) struct Committer {
     cv: Condvar,
     wal: Mutex<Wal>,
     shared: Arc<StripeShared>,
-    /// A nonzero window holds each batch open that long to collect more
-    /// staged uploads before the fsync.
-    window: Duration,
 }
 
 impl std::fmt::Debug for Committer {
@@ -117,13 +111,12 @@ impl std::fmt::Debug for Committer {
 
 impl Committer {
     /// Wraps stripe state and its `wal` for leader/follower commits.
-    pub(crate) fn new(wal: Wal, shared: Arc<StripeShared>, window: Duration) -> Committer {
+    pub(crate) fn new(wal: Wal, shared: Arc<StripeShared>) -> Committer {
         Committer {
             queue: Mutex::new(QueueState::default()),
             cv: Condvar::new(),
             wal: Mutex::new(wal),
             shared,
-            window,
         }
     }
 
@@ -151,19 +144,13 @@ impl Committer {
             if !queue.committing {
                 queue.committing = true;
                 drop(queue);
-                if self.window.is_zero() {
-                    // One scheduler yield before taking the batch:
-                    // peers the previous commit just released get a
-                    // chance to stage their next upload, so batch
-                    // sizes converge to the number of active clients
-                    // instead of collapsing to whoever re-staged
-                    // first. Costs nothing when nobody else is ready.
-                    std::thread::yield_now();
-                } else {
-                    // Hold the batch open to let concurrent uploads
-                    // pile in; every one collected shares the fsync.
-                    std::thread::sleep(self.window);
-                }
+                // One scheduler yield before taking the batch: peers
+                // the previous commit just released get a chance to
+                // stage their next upload, so batch sizes converge to
+                // the number of active clients instead of collapsing
+                // to whoever re-staged first. Costs nothing when
+                // nobody else is ready.
+                std::thread::yield_now();
                 let batch = {
                     let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
                     std::mem::take(&mut queue.staged)
@@ -205,8 +192,9 @@ impl Drop for Committer {
 }
 
 /// Appends and commits one batch, then resolves every staged upload
-/// under the stripe lock: fold-and-ack on success, reservation release
-/// and `StorageFailed` for the whole batch otherwise.
+/// under the stripe lock: the stripe's one fold and an ack on success,
+/// reservation release and `StorageFailed` for the whole batch
+/// otherwise.
 fn process_batch(wal: &mut Wal, shared: &StripeShared, batch: VecDeque<Staged>) {
     let mut failure: Option<String> = None;
     for item in &batch {
@@ -234,13 +222,9 @@ fn process_batch(wal: &mut Wal, shared: &StripeShared, batch: VecDeque<Staged>) 
                 state.charge_reject(&item.series);
                 Err(RejectReason::StorageFailed(e.clone()))
             }
-            None => state.fold_committed(
-                &item.series,
-                item.seq,
-                item.blob.len() as u64,
-                item.gmon,
-                item.flags,
-            ),
+            None => {
+                state.fold(&item.series, item.seq, item.blob.len() as u64, item.gmon, item.flags)
+            }
         };
         item.waiter.complete(result);
     }

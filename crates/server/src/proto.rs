@@ -70,7 +70,7 @@ pub mod kind {
 /// How a server-rendered report should be formatted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ReportFormat {
-    /// Human-readable text (the default, and what version-1 peers get).
+    /// Human-readable text (the default).
     #[default]
     Text,
     /// The versioned machine-readable JSON document.
@@ -174,9 +174,7 @@ pub enum Request {
         before: String,
         /// Comparison series.
         after: String,
-        /// Report rendering. Encoded as a trailing byte that is optional
-        /// on decode — a version-1 peer's byte-identical diff request
-        /// still decodes, as [`ReportFormat::Text`].
+        /// Report rendering, encoded as a trailing byte.
         format: ReportFormat,
     },
     /// Run the statistical regression gate over two series
@@ -488,10 +486,7 @@ impl Request {
             kind::DIFF => {
                 let before = get_str(data)?;
                 let after = get_str(data)?;
-                // The format byte arrived in protocol version 3; its
-                // absence is a version-1 peer asking for text.
-                let format =
-                    if data.has_remaining() { get_format(data)? } else { ReportFormat::Text };
+                let format = get_format(data)?;
                 finish(data, Request::Diff { before, after, format })
             }
             kind::REGRESS => {
@@ -797,19 +792,6 @@ mod tests {
             let frame = req.to_frame();
             for len in 0..frame.payload.len() {
                 let cut = Frame::new(frame.kind, frame.payload[..len].to_vec());
-                // One benign prefix by design: a diff missing only its
-                // trailing format byte is a valid version-1 diff request
-                // and decodes as text format.
-                if frame.kind == kind::DIFF && len == frame.payload.len() - 1 {
-                    assert!(
-                        matches!(
-                            Request::from_frame(&cut),
-                            Ok(Request::Diff { format: ReportFormat::Text, .. })
-                        ),
-                        "{req:?} cut to {len}"
-                    );
-                    continue;
-                }
                 assert!(
                     matches!(Request::from_frame(&cut), Err(WireError::Malformed(_))),
                     "{req:?} cut to {len}"
@@ -819,15 +801,12 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_diff_without_a_format_byte_decodes_as_text() {
+    fn a_diff_without_its_format_byte_is_malformed() {
         let mut p = Vec::new();
         put_str(&mut p, "v1");
         put_str(&mut p, "v2");
-        let req = Request::from_frame(&Frame::new(kind::DIFF, p)).unwrap();
-        assert_eq!(
-            req,
-            Request::Diff { before: "v1".into(), after: "v2".into(), format: ReportFormat::Text }
-        );
+        let err = Request::from_frame(&Frame::new(kind::DIFF, p)).unwrap_err();
+        assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
     }
 
     #[test]

@@ -66,9 +66,9 @@ pub struct ServerConfig {
     /// shards, each with its own lock and WAL partition. Pinned in a
     /// durable data directory's MANIFEST at first open.
     pub stripes: usize,
-    /// `Some(window)` amortizes durable uploads with one fsync per
-    /// group-commit batch (the default, with a zero window); `None`
-    /// fsyncs every upload individually.
+    /// Ignored. Durable uploads are always group-committed (one fsync
+    /// per batch); the field is kept so existing struct literals still
+    /// compile.
     pub group_commit: Option<Duration>,
     /// Per-series retained windows (`--retain K`): each series keeps its
     /// last K uploaded windows for window-vs-window and trailing-baseline
@@ -185,12 +185,12 @@ impl Server {
             max_series: config.max_series,
             jobs: config.jobs,
             stripes: config.stripes,
-            group_commit: config.group_commit,
             segment_bytes: config.wal_segment_bytes,
             retain: config.retain,
             checkpoint_bytes: config.checkpoint_bytes,
             checkpoint_records: config.checkpoint_records,
             fault: config.fault.clone(),
+            ..StoreOptions::default()
         };
         let (store, recovery) = match &config.data_dir {
             Some(dir) => {

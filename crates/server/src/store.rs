@@ -19,16 +19,19 @@
 //! ordering at all — and a series never spans stripes, so its replay
 //! order is still exactly its own log order.
 //!
-//! **Durability lanes.** A durable stripe runs in one of two modes:
-//! *sync* (`group_commit: None`) fsyncs every upload under the stripe
-//! lock, exactly the pre-stripe behavior; *batched* (`group_commit:
-//! Some(window)`) stages uploads on the stripe's [`Committer`]; a
-//! leader thread elected among the stagers appends the batch, fsyncs
-//! once, folds in queue order, and releases all acknowledgments
-//! together — fsync-before-ack preserved, the fsync amortized. In-flight `(series, seq)` reservations close
-//! the cross-connection duplicate race: a concurrent duplicate waits
-//! for the first upload's outcome instead of being answered while that
-//! outcome is still undecided.
+//! **One ingest path.** Every accepted record — an in-memory upload, a
+//! record replayed from the WAL, or a durable upload after its batch's
+//! fsync — reaches the series through one fold, `StripeState::fold`,
+//! so live and replayed aggregates cannot drift apart. An in-memory
+//! stripe folds under its lock. A durable stripe stages uploads on its
+//! [`Committer`]: a leader thread elected among the stagers appends the
+//! batch, fsyncs once, folds in queue order, and releases all
+//! acknowledgments together — fsync-before-ack preserved, the fsync
+//! amortized. In-flight `(series, seq)` reservations close the
+//! cross-connection duplicate race: a concurrent duplicate waits for
+//! the first upload's outcome instead of being answered while that
+//! outcome is still undecided. Snapshot restore is the inverse of the
+//! checkpoint freeze.
 //!
 //! **Delta uploads.** A streaming client may ship a window as a delta
 //! against the series' last applied window ([`SeriesStore::upload_delta`]).
@@ -150,8 +153,7 @@ pub struct SeriesStats {
 }
 
 /// How a [`SeriesStore`] is shaped: sharding, durability, and limits.
-/// [`StoreOptions::default`] is a single in-memory-style stripe with
-/// group commit enabled (flush as soon as the worker drains).
+/// [`StoreOptions::default`] is a single stripe.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Maximum number of named series, across all stripes.
@@ -160,10 +162,9 @@ pub struct StoreOptions {
     pub jobs: usize,
     /// Ingest stripes; series are assigned by stable hash.
     pub stripes: usize,
-    /// `Some(window)` batches durable uploads per stripe, committing a
-    /// batch with one fsync after holding it open for `window` (zero =
-    /// flush as fast as the worker drains). `None` fsyncs every upload
-    /// individually under the stripe lock.
+    /// Ignored. Durable stores always group-commit: one fsync per
+    /// batch, flushed as fast as the leader drains its queue. The field
+    /// is kept so existing struct literals still compile.
     pub group_commit: Option<Duration>,
     /// Size at which WAL segments rotate, in bytes.
     pub segment_bytes: u64,
@@ -221,28 +222,11 @@ struct Series {
     windows: VecDeque<(u64, GmonData)>,
 }
 
-impl Series {
-    /// Bookkeeping shared by both fold-success paths: records the
-    /// window in the retention ring (compacting past `retain`) and
-    /// advances the delta shadow.
-    fn note_window(&mut self, retain: usize, seq: u64, window: GmonData) {
-        if retain > 0 {
-            self.windows.push_back((seq, window.clone()));
-            while self.windows.len() > retain {
-                self.windows.pop_front();
-            }
-        }
-        self.shadow = Some((seq, window));
-    }
-}
-
 #[derive(Debug, Default)]
 pub(crate) struct StripeState {
     series: BTreeMap<String, Series>,
     /// Window-retention depth, copied from [`StoreOptions::retain`] at
-    /// construction so the commit worker's fold path (which has no
-    /// access to the options) applies the same policy as the locked
-    /// path.
+    /// construction so the fold applies it without the options.
     retain: usize,
     /// Rejects that could not be charged to an existing series.
     orphan_rejects: u64,
@@ -270,9 +254,17 @@ impl StripeState {
         }
     }
 
-    /// Folds one *already durable* upload into its (pre-reserved)
-    /// series — the batched lane's post-commit half of the upload.
-    pub(crate) fn fold_committed(
+    /// Folds one validated upload into its series: the one fold that
+    /// in-memory uploads, WAL replay, and the group-commit leader (after
+    /// the batch's fsync) all call, so a record's outcome depends only
+    /// on the stripe state it meets. The series must exist (created by
+    /// [`SeriesStore::ensure_series`], or reserved at staging). A seq
+    /// already folded is a duplicate. A profile that does not merge is
+    /// rejected with its seq left unclaimed, so every retry reports the
+    /// failure instead of a duplicate, and replay rejects it the same
+    /// way. On success the window enters the retention ring (compacted
+    /// past `retain`) and becomes the delta shadow.
+    pub(crate) fn fold(
         &mut self,
         series: &str,
         seq: u64,
@@ -281,17 +273,23 @@ impl StripeState {
         flags: BTreeSet<&'static str>,
     ) -> Result<u64, RejectReason> {
         let retain = self.retain;
-        let entry = self.series.get_mut(series).expect("staged series was reserved");
-        let shadow = gmon.clone();
+        let entry = self.series.get_mut(series).expect("the series was ensured or reserved");
+        if entry.seen_seqs.contains(&seq) {
+            entry.stats.rejects += 1;
+            return Err(RejectReason::DuplicateSeq(seq));
+        }
+        let window = gmon.clone();
         if let Err(e) = entry.acc.push(gmon) {
-            // The record is on disk but cannot fold; replay rejects it
-            // just as deterministically. The seq stays unclaimed so the
-            // failure is reported on every retry, not masked as a
-            // duplicate.
             entry.stats.rejects += 1;
             return Err(RejectReason::Unmergeable(e.to_string()));
         }
-        entry.note_window(retain, seq, shadow);
+        if retain > 0 {
+            entry.windows.push_back((seq, window.clone()));
+            while entry.windows.len() > retain {
+                entry.windows.pop_front();
+            }
+        }
+        entry.shadow = Some((seq, window));
         entry.seen_seqs.insert(seq);
         entry.next_auto_seq = entry.next_auto_seq.max(seq + 1);
         entry.stats.uploads += 1;
@@ -315,9 +313,6 @@ pub(crate) struct StripeShared {
 enum Lane {
     /// No durability: fold under the stripe lock, nothing else.
     Memory,
-    /// One fsync per upload, under the stripe lock — the pre-stripe
-    /// behavior (`--no-group-commit`).
-    Sync { wal: Mutex<Wal>, gauge: Arc<AtomicU64> },
     /// Staged appends, one fsync per batch, acks released together.
     Batched { committer: Committer, gauge: Arc<AtomicU64> },
 }
@@ -326,7 +321,7 @@ impl Lane {
     fn gauge(&self) -> Option<&Arc<AtomicU64>> {
         match self {
             Lane::Memory => None,
-            Lane::Sync { gauge, .. } | Lane::Batched { gauge, .. } => Some(gauge),
+            Lane::Batched { gauge, .. } => Some(gauge),
         }
     }
 }
@@ -335,7 +330,6 @@ impl std::fmt::Debug for Lane {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Lane::Memory => f.write_str("Memory"),
-            Lane::Sync { .. } => f.write_str("Sync"),
             Lane::Batched { .. } => f.write_str("Batched"),
         }
     }
@@ -456,18 +450,21 @@ impl SeriesStore {
     /// under `data_dir`, replays every recovered record through the
     /// same validate-and-fold path as live uploads — rebuilding an
     /// aggregate byte-identical to what a crashed server held — and
-    /// logs every subsequent accepted upload before acknowledging it.
+    /// group-commits every subsequent accepted upload before
+    /// acknowledging it.
     ///
     /// The stripe count is pinned in the data directory's MANIFEST at
-    /// first open; pre-stripe (PR 5 era) directories are migrated by
-    /// salvaging their segments read-only.
+    /// first open.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the log cannot be opened,
-    /// or `InvalidInput` when `opts.stripes` contradicts the pinned
-    /// count. Torn or corrupt log tails are salvaged, not errors; the
-    /// [`StoreRecovery`] says what was repaired.
+    /// `InvalidInput` when `opts.stripes` contradicts the pinned count,
+    /// or `InvalidData` when the directory holds log or snapshot files
+    /// the store cannot account for (see
+    /// [`open_partitions`](crate::wal::open_partitions)); nothing is
+    /// written then. Torn or corrupt log tails are salvaged, not
+    /// errors; the [`StoreRecovery`] says what was repaired.
     pub fn open(
         exe: Executable,
         data_dir: &Path,
@@ -475,8 +472,7 @@ impl SeriesStore {
     ) -> io::Result<(Self, StoreRecovery)> {
         let opened = open_partitions(data_dir, opts.stripes, opts.segment_bytes, &opts.fault)?;
         let mut recovery = opened.recovery;
-        let mut store =
-            Self::with_options(exe, StoreOptions { stripes: recovery.stripes, ..opts.clone() });
+        let mut store = Self::with_options(exe, StoreOptions { stripes: recovery.stripes, ..opts });
         store.data_dir = Some(data_dir.to_path_buf());
         // Seed each stripe from its newest decodable snapshot, if any;
         // replay then folds only the WAL suffix past the snapshot's
@@ -494,21 +490,9 @@ impl SeriesStore {
                 recovery.snapshots_loaded += 1;
             }
         }
-        // Replay rejections are fine: a record whose fold failed after
-        // it was logged replays to the same deterministic rejection.
-        // Legacy (pre-stripe) records go first — they predate every
-        // partition record — then each partition in its own append
-        // order; the dedup index makes any cross-log repeat harmless.
-        // A stripe restored from a snapshot already holds the legacy
-        // records' effect (its snapshot froze the fully replayed state,
-        // and legacy segments are read-only, never compacted), so they
-        // replay only into stripes with no snapshot.
-        for record in &opened.legacy_records {
-            if covered[store.stripe_of(&record.series)].is_some() {
-                continue;
-            }
-            let _ = store.replay(&record.series, record.seq, &record.blob);
-        }
+        // Each partition replays in its own append order. Rejections are
+        // fine: a record whose fold failed after it was logged replays
+        // to the same deterministic rejection.
         for (index, records) in opened.partition_records.iter().enumerate() {
             let positions = &opened.partition_positions[index];
             for (record, position) in records.iter().zip(positions) {
@@ -536,51 +520,15 @@ impl SeriesStore {
         }
         // Attach the durable lanes only now, so replay is never
         // re-logged.
-        let mut lanes = Vec::with_capacity(store.stripes.len());
-        for (index, wal) in partitions.into_iter().enumerate() {
-            let gauge = wal.segment_gauge();
-            lanes.push(match opts.group_commit {
-                None => Lane::Sync { wal: Mutex::new(wal), gauge },
-                Some(window) => Lane::Batched {
-                    committer: Committer::new(wal, Arc::clone(&store.stripes[index]), window),
-                    gauge,
-                },
-            });
-        }
-        store.lanes = lanes;
+        store.lanes = partitions
+            .into_iter()
+            .zip(&store.stripes)
+            .map(|(wal, shared)| Lane::Batched {
+                gauge: wal.segment_gauge(),
+                committer: Committer::new(wal, Arc::clone(shared)),
+            })
+            .collect();
         Ok((store, recovery))
-    }
-
-    /// The pre-stripe durable constructor: one stripe, one fsync per
-    /// upload. Kept for callers that want exactly the original
-    /// semantics; new code should use [`SeriesStore::open`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SeriesStore::open`].
-    pub fn with_wal(
-        exe: Executable,
-        max_series: usize,
-        jobs: usize,
-        data_dir: &Path,
-        segment_bytes: u64,
-        fault: FaultPlan,
-    ) -> io::Result<(Self, StoreRecovery)> {
-        Self::open(
-            exe,
-            data_dir,
-            StoreOptions {
-                max_series,
-                jobs,
-                stripes: 1,
-                group_commit: None,
-                segment_bytes,
-                retain: 0,
-                checkpoint_bytes: None,
-                checkpoint_records: None,
-                fault,
-            },
-        )
     }
 
     /// Whether uploads are made durable before acknowledgment.
@@ -627,14 +575,9 @@ impl SeriesStore {
         let checked = self.validate(blob);
         let index = self.stripe_of(series);
         let result = match &self.lanes[index] {
+            Lane::Memory => self.fold_locked(index, series, seq, blob.len() as u64, checked),
             Lane::Batched { committer, .. } => {
                 self.upload_batched(&self.stripes[index], committer, series, seq, blob, checked)
-            }
-            Lane::Sync { wal, .. } => {
-                self.upload_locked(&self.stripes[index], Some(wal), series, seq, blob, checked)
-            }
-            Lane::Memory => {
-                self.upload_locked(&self.stripes[index], None, series, seq, blob, checked)
             }
         };
         match &result {
@@ -704,28 +647,25 @@ impl SeriesStore {
         }
     }
 
-    /// Replay of one recovered record: the in-memory fold path (the
-    /// record is already on disk), with rejections discarded by the
-    /// caller.
+    /// Replay of one recovered record: the record is already on disk,
+    /// so it takes the in-memory lane's path. The caller discards
+    /// rejections.
     fn replay(&self, series: &str, seq: u64, blob: &[u8]) -> Result<u64, RejectReason> {
         let checked = self.validate(blob);
-        let index = self.stripe_of(series);
-        self.upload_locked(&self.stripes[index], None, series, seq, blob, checked)
+        self.fold_locked(self.stripe_of(series), series, seq, blob.len() as u64, checked)
     }
 
-    /// The lock-held upload path (memory and sync lanes, and replay).
-    /// For the sync lane the fsync happens under the stripe lock, which
-    /// makes "logged order == fold order" trivially true per stripe.
-    fn upload_locked(
+    /// The in-memory lane and WAL replay: under stripe `index`'s lock,
+    /// charge a failed validation, or create the series and fold.
+    fn fold_locked(
         &self,
-        shared: &StripeShared,
-        wal: Option<&Mutex<Wal>>,
+        index: usize,
         series: &str,
         seq: u64,
-        blob: &[u8],
+        bytes: u64,
         checked: Result<(GmonData, BTreeSet<&'static str>), RejectReason>,
     ) -> Result<u64, RejectReason> {
-        let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.stripes[index].state.lock().unwrap_or_else(PoisonError::into_inner);
         let (gmon, flags) = match checked {
             Ok(checked) => checked,
             Err(reason) => {
@@ -734,37 +674,7 @@ impl SeriesStore {
             }
         };
         self.ensure_series(&mut state, series)?;
-        let retain = state.retain;
-        let entry = state.series.get_mut(series).expect("just ensured");
-        if !entry.seen_seqs.insert(seq) {
-            entry.stats.rejects += 1;
-            return Err(RejectReason::DuplicateSeq(seq));
-        }
-        // Durability point: failure rolls the seq back so a retry can
-        // succeed (after restart clears the wedge).
-        if let Some(wal) = wal {
-            let mut wal = wal.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Err(e) = wal.append(series, seq, blob) {
-                entry.seen_seqs.remove(&seq);
-                entry.stats.rejects += 1;
-                return Err(RejectReason::StorageFailed(e.to_string()));
-            }
-        }
-        let shadow = gmon.clone();
-        if let Err(e) = entry.acc.push(gmon) {
-            entry.seen_seqs.remove(&seq);
-            entry.stats.rejects += 1;
-            return Err(RejectReason::Unmergeable(e.to_string()));
-        }
-        entry.note_window(retain, seq, shadow);
-        entry.next_auto_seq = entry.next_auto_seq.max(seq + 1);
-        entry.stats.uploads += 1;
-        entry.stats.bytes += blob.len() as u64;
-        if !flags.is_empty() {
-            entry.stats.flagged += 1;
-            entry.flag_codes.extend(flags);
-        }
-        Ok(entry.acc.count())
+        state.fold(series, seq, bytes, gmon, flags)
     }
 
     /// The group-commit upload path. Under the stripe lock the upload
@@ -1081,18 +991,8 @@ impl SeriesStore {
         if gauges.checkpointing.swap(true, Ordering::SeqCst) {
             return Ok(None);
         }
-        // Lock order matches the lane's own upload path, so a
-        // checkpoint can never deadlock with in-flight uploads.
         let result = match &self.lanes[index] {
             Lane::Memory => Ok(None),
-            Lane::Sync { wal, .. } => {
-                // Sync-lane uploads lock the stripe state, then the
-                // WAL inside it.
-                let mut state =
-                    self.stripes[index].state.lock().unwrap_or_else(PoisonError::into_inner);
-                let mut wal = wal.lock().unwrap_or_else(PoisonError::into_inner);
-                self.checkpoint_quiesced(data_dir, index, &mut state, &mut wal).map(Some)
-            }
             Lane::Batched { committer, .. } => {
                 // The commit worker locks the WAL, then the stripe
                 // state: same order here. Taking the WAL lock first is
@@ -1675,15 +1575,12 @@ mod tests {
         let stream = windows(&exe, 3);
         let dir = tmpdir("delta-replay");
         {
-            let (store, _) =
-                SeriesStore::open(exe.clone(), &dir, durable_opts(1, Some(Duration::ZERO)))
-                    .unwrap();
+            let (store, _) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
             store.upload("web", 0, &stream[0].to_bytes()).unwrap();
             let body = graphprof_monitor::encode_delta(&stream[0], &stream[1]).unwrap();
             store.upload_delta("web", 0, 1, &body).unwrap();
         }
-        let (store, recovery) =
-            SeriesStore::open(exe.clone(), &dir, durable_opts(1, Some(Duration::ZERO))).unwrap();
+        let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
         // The WAL stored full windows, never delta bodies: replay needs
         // no base to recover both records.
         assert_eq!(recovery.records(), 2);
@@ -1759,7 +1656,7 @@ mod tests {
         let exe = kernel_exe();
         let stream = windows(&exe, 4);
         let dir = tmpdir("retain-replay");
-        let opts = || StoreOptions { retain: 2, ..durable_opts(2, Some(Duration::ZERO)) };
+        let opts = || StoreOptions { retain: 2, ..durable_opts(2) };
         let before = {
             let (store, _) = SeriesStore::open(exe.clone(), &dir, opts()).unwrap();
             for (seq, w) in stream.iter().enumerate() {
@@ -1810,19 +1707,18 @@ mod tests {
         let blob = blob(&exe);
         let dir = tmpdir("replay");
         {
-            let (store, recovery) =
-                SeriesStore::with_wal(exe.clone(), 8, 1, &dir, 1 << 20, FaultPlan::none()).unwrap();
+            let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
             assert_eq!(recovery.records(), 0);
             assert!(store.is_durable());
             for seq in 0..3 {
                 store.upload("web", seq, &blob).unwrap();
             }
             store.upload("api", 0, &blob).unwrap();
-            // Dropped without any explicit flush: the fsync per append
-            // is the only durability the restart gets to rely on.
+            // Dropped without any explicit flush: the commit's fsync
+            // before each ack is the only durability the restart gets
+            // to rely on.
         }
-        let (store, recovery) =
-            SeriesStore::with_wal(exe.clone(), 8, 1, &dir, 1 << 20, FaultPlan::none()).unwrap();
+        let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
         assert_eq!(recovery.records(), 4);
         let parsed = GmonData::from_bytes(&blob).unwrap();
         let offline = graphprof::sum_profiles(std::iter::repeat_n(&parsed, 3)).unwrap();
@@ -1849,7 +1745,8 @@ mod tests {
                 ..Default::default()
             });
             let (store, _) =
-                SeriesStore::with_wal(exe.clone(), 8, 1, &dir, 1 << 20, fault).unwrap();
+                SeriesStore::open(exe.clone(), &dir, StoreOptions { fault, ..durable_opts(1) })
+                    .unwrap();
             assert!(matches!(store.upload("web", 0, &blob), Err(RejectReason::StorageFailed(_))));
             // Nothing was folded in and the aggregate stays empty.
             assert!(store.aggregate("web").is_none());
@@ -1859,8 +1756,7 @@ mod tests {
             assert!(matches!(store.upload("web", 0, &blob), Err(RejectReason::StorageFailed(_))));
         }
         // "Restart": reopen without the fault; the same seq goes through.
-        let (store, recovery) =
-            SeriesStore::with_wal(exe.clone(), 8, 1, &dir, 1 << 20, FaultPlan::none()).unwrap();
+        let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
         assert_eq!(recovery.records(), 0);
         assert_eq!(store.upload("web", 0, &blob), Ok(1));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1880,15 +1776,15 @@ mod tests {
                 ..Default::default()
             });
             let (store, _) =
-                SeriesStore::with_wal(exe.clone(), 8, 1, &dir, 1 << 20, fault).unwrap();
+                SeriesStore::open(exe.clone(), &dir, StoreOptions { fault, ..durable_opts(1) })
+                    .unwrap();
             store.upload("web", 0, &blob).unwrap();
             store.upload("web", 1, &blob).unwrap();
             // The third append tears mid-record: the client never got an
             // ack, so the upload is not part of the acknowledged set.
             assert!(matches!(store.upload("web", 2, &blob), Err(RejectReason::StorageFailed(_))));
         }
-        let (store, recovery) =
-            SeriesStore::with_wal(exe.clone(), 8, 1, &dir, 1 << 20, FaultPlan::none()).unwrap();
+        let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
         assert_eq!(recovery.records(), 2, "only the acknowledged prefix survives");
         assert!(recovery.torn_bytes() > 0, "the torn tail was salvaged away");
         let parsed = GmonData::from_bytes(&blob).unwrap();
@@ -1899,14 +1795,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn durable_opts(stripes: usize, group_commit: Option<Duration>) -> StoreOptions {
-        StoreOptions {
-            max_series: 64,
-            stripes,
-            group_commit,
-            segment_bytes: 1 << 20,
-            ..StoreOptions::default()
-        }
+    fn durable_opts(stripes: usize) -> StoreOptions {
+        StoreOptions { max_series: 64, stripes, segment_bytes: 1 << 20, ..StoreOptions::default() }
     }
 
     #[test]
@@ -1919,7 +1809,7 @@ mod tests {
             let (store, _) = SeriesStore::open(
                 exe.clone(),
                 &dir,
-                StoreOptions { fault: fault.clone(), ..durable_opts(4, Some(Duration::ZERO)) },
+                StoreOptions { fault: fault.clone(), ..durable_opts(4) },
             )
             .unwrap();
             assert!(store.is_durable());
@@ -1933,8 +1823,7 @@ mod tests {
         // never more than once per upload.
         assert!(fault.fsyncs() <= 5, "fsyncs: {}", fault.fsyncs());
         assert!(fault.fsyncs() >= 1);
-        let (store, recovery) =
-            SeriesStore::open(exe.clone(), &dir, durable_opts(4, Some(Duration::ZERO))).unwrap();
+        let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(4)).unwrap();
         assert_eq!(recovery.records(), 5);
         assert_eq!(recovery.stripes, 4);
         let parsed = GmonData::from_bytes(&blob).unwrap();
@@ -1952,16 +1841,14 @@ mod tests {
         // the rest must see DuplicateSeq, and the aggregate must hold
         // exactly one copy. Runs on the batched durable path (where the
         // in-flight reservation closes the race) and on both stripe
-        // counts; the sync and in-memory paths hold the stripe lock
-        // across the whole upload and are raceless by construction.
+        // counts; the in-memory path holds the stripe lock across the
+        // whole upload and is raceless by construction.
         let exe = exe();
         let blob = blob(&exe);
         let parsed = GmonData::from_bytes(&blob).unwrap();
         for stripes in [1usize, 4] {
             let dir = tmpdir(&format!("dup-race-{stripes}"));
-            let (store, _) =
-                SeriesStore::open(exe.clone(), &dir, durable_opts(stripes, Some(Duration::ZERO)))
-                    .unwrap();
+            let (store, _) = SeriesStore::open(exe.clone(), &dir, durable_opts(stripes)).unwrap();
             let store = std::sync::Arc::new(store);
             let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
             let results: Vec<Result<u64, RejectReason>> = std::thread::scope(|scope| {
@@ -1995,34 +1882,51 @@ mod tests {
     }
 
     #[test]
-    fn legacy_data_dirs_migrate_into_the_striped_layout() {
+    fn stores_without_an_accountable_layout_are_refused_untouched() {
         let exe = exe();
         let blob = blob(&exe);
-        let dir = tmpdir("legacy-migrate");
-        // A PR-5-era store: one unpartitioned log, no MANIFEST.
+        let refused = |dir: &Path, stripes: usize| {
+            let before = wal::tree(dir);
+            let err = SeriesStore::open(exe.clone(), dir, durable_opts(stripes)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(&dir.display().to_string()), "{err}");
+            assert_eq!(wal::tree(dir), before, "a refused open wrote nothing");
+        };
+        // 16 acknowledged series on 4 stripes, then the MANIFEST is
+        // lost: reopening with any stripe count must not drop the
+        // series the other partitions hold.
+        let dir = tmpdir("lost-manifest");
+        let names: Vec<String> = (0..16).map(|i| format!("host{i}")).collect();
+        {
+            let (store, _) = SeriesStore::open(exe.clone(), &dir, durable_opts(4)).unwrap();
+            for name in &names {
+                store.upload(name, 0, &blob).unwrap();
+            }
+        }
+        let manifest = std::fs::read(dir.join("MANIFEST")).unwrap();
+        std::fs::remove_file(dir.join("MANIFEST")).unwrap();
+        refused(&dir, 1);
+        refused(&dir, 4);
+        // Nothing was lost: with the MANIFEST back every series replays.
+        std::fs::write(dir.join("MANIFEST"), &manifest).unwrap();
+        let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(4)).unwrap();
+        assert_eq!(recovery.records(), 16);
+        let parsed = GmonData::from_bytes(&blob).unwrap();
+        for name in &names {
+            assert_eq!(store.aggregate(name).unwrap(), parsed, "{name}");
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A pre-stripe store: one unpartitioned log, no MANIFEST.
+        let dir = tmpdir("pre-stripe");
         {
             let (mut wal, _, _) = Wal::open(&dir, 1 << 20, FaultPlan::none()).unwrap();
             wal.append("web", 0, &blob).unwrap();
-            wal.append("web", 1, &blob).unwrap();
             wal.append("api", 0, &blob).unwrap();
         }
-        let (store, recovery) =
-            SeriesStore::open(exe.clone(), &dir, durable_opts(4, Some(Duration::ZERO))).unwrap();
-        assert_eq!(recovery.records(), 3);
-        assert!(recovery.legacy.is_some(), "{recovery:?}");
-        let parsed = GmonData::from_bytes(&blob).unwrap();
-        let offline = graphprof::sum_profiles(std::iter::repeat_n(&parsed, 2)).unwrap();
-        assert_eq!(store.aggregate("web").unwrap().to_bytes(), offline.to_bytes());
-        assert_eq!(store.upload("web", 1, &blob), Err(RejectReason::DuplicateSeq(1)));
-        // New uploads land in partitions; the next open replays both
-        // logs without double counting.
-        store.upload("web", 2, &blob).unwrap();
-        drop(store);
-        let (store, recovery) =
-            SeriesStore::open(exe.clone(), &dir, durable_opts(4, Some(Duration::ZERO))).unwrap();
-        assert_eq!(recovery.records(), 4);
-        let offline = graphprof::sum_profiles(std::iter::repeat_n(&parsed, 3)).unwrap();
-        assert_eq!(store.aggregate("web").unwrap().to_bytes(), offline.to_bytes());
+        refused(&dir, 1);
+        refused(&dir, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2031,13 +1935,13 @@ mod tests {
         let exe = exe();
         let dir = tmpdir("stripe-pin");
         {
-            let _ = SeriesStore::open(exe.clone(), &dir, durable_opts(2, None)).unwrap();
+            let _ = SeriesStore::open(exe.clone(), &dir, durable_opts(2)).unwrap();
         }
-        let err = SeriesStore::open(exe.clone(), &dir, durable_opts(8, None)).unwrap_err();
+        let err = SeriesStore::open(exe.clone(), &dir, durable_opts(8)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("--stripes 2"), "{err}");
         // The pinned count still works.
-        let _ = SeriesStore::open(exe, &dir, durable_opts(2, None)).unwrap();
+        let _ = SeriesStore::open(exe, &dir, durable_opts(2)).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2046,8 +1950,7 @@ mod tests {
         let exe = exe();
         let blob = blob(&exe);
         let dir = tmpdir("stripe-stats");
-        let (store, _) =
-            SeriesStore::open(exe, &dir, durable_opts(2, Some(Duration::ZERO))).unwrap();
+        let (store, _) = SeriesStore::open(exe, &dir, durable_opts(2)).unwrap();
         store.upload("web", 0, &blob).unwrap();
         let listing = store.render_stats();
         assert!(listing.contains("stripes: 2"), "{listing}");
@@ -2066,7 +1969,7 @@ mod tests {
         let dir = tmpdir("checkpoint-compact");
         // Tiny segments so the log rotates and the checkpoint has whole
         // segments to delete.
-        let opts = || StoreOptions { segment_bytes: 64, ..durable_opts(2, Some(Duration::ZERO)) };
+        let opts = || StoreOptions { segment_bytes: 64, ..durable_opts(2) };
         {
             let (store, _) = SeriesStore::open(exe.clone(), &dir, opts()).unwrap();
             for seq in 0..3 {
@@ -2106,11 +2009,7 @@ mod tests {
             fail_snapshot_at: Some(0),
             ..Default::default()
         });
-        let opts = StoreOptions {
-            segment_bytes: 64,
-            fault: fault.clone(),
-            ..durable_opts(1, Some(Duration::ZERO))
-        };
+        let opts = StoreOptions { segment_bytes: 64, fault: fault.clone(), ..durable_opts(1) };
         let (store, _) = SeriesStore::open(exe.clone(), &dir, opts).unwrap();
         for seq in 0..3 {
             store.upload("web", seq, &blob).unwrap();
@@ -2127,8 +2026,7 @@ mod tests {
         assert_eq!(report.failed, 0, "{report:?}");
         assert!(report.segments_removed > 0, "{report:?}");
         drop(store);
-        let (store, recovery) =
-            SeriesStore::open(exe.clone(), &dir, durable_opts(1, Some(Duration::ZERO))).unwrap();
+        let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
         assert_eq!(
             recovery.records(),
             recovery.covered_records,
@@ -2153,7 +2051,7 @@ mod tests {
             fail_snapshot_at: Some(0),
             ..Default::default()
         });
-        let opts = StoreOptions { fault: fault.clone(), ..durable_opts(1, Some(Duration::ZERO)) };
+        let opts = StoreOptions { fault: fault.clone(), ..durable_opts(1) };
         let (store, _) = SeriesStore::open(exe.clone(), &dir, opts).unwrap();
         store.upload("web", 0, &blob).unwrap();
         assert!(matches!(store.upload("web", 1, &blob), Err(RejectReason::StorageFailed(_))));
@@ -2164,8 +2062,7 @@ mod tests {
         let listing = store.render_stats();
         assert!(listing.contains("wedges healed: 1"), "{listing}");
         drop(store);
-        let (store, _) =
-            SeriesStore::open(exe.clone(), &dir, durable_opts(1, Some(Duration::ZERO))).unwrap();
+        let (store, _) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
         let parsed = GmonData::from_bytes(&blob).unwrap();
         let offline = graphprof::sum_profiles(std::iter::repeat_n(&parsed, 2)).unwrap();
         assert_eq!(store.aggregate("web").unwrap().to_bytes(), offline.to_bytes());
@@ -2181,7 +2078,7 @@ mod tests {
             fail_append_at: Some(1),
             ..Default::default()
         });
-        let opts = StoreOptions { fault: fault.clone(), ..durable_opts(1, Some(Duration::ZERO)) };
+        let opts = StoreOptions { fault: fault.clone(), ..durable_opts(1) };
         let (store, _) = SeriesStore::open(exe.clone(), &dir, opts).unwrap();
         store.upload("web", 0, &blob).unwrap();
         // The failed upload wedges the WAL *and* triggers a heal
@@ -2197,11 +2094,8 @@ mod tests {
         let exe = exe();
         let blob = blob(&exe);
         let dir = tmpdir("checkpoint-auto");
-        let opts = || StoreOptions {
-            segment_bytes: 64,
-            checkpoint_records: Some(2),
-            ..durable_opts(1, Some(Duration::ZERO))
-        };
+        let opts =
+            || StoreOptions { segment_bytes: 64, checkpoint_records: Some(2), ..durable_opts(1) };
         {
             let (store, _) = SeriesStore::open(exe.clone(), &dir, opts()).unwrap();
             for seq in 0..4 {
@@ -2234,7 +2128,7 @@ mod tests {
         let exe = kernel_exe();
         let stream = windows(&exe, 5);
         let dir = tmpdir("checkpoint-retain");
-        let opts = |retain: usize| StoreOptions { retain, ..durable_opts(1, Some(Duration::ZERO)) };
+        let opts = |retain: usize| StoreOptions { retain, ..durable_opts(1) };
         {
             let (store, _) = SeriesStore::open(exe.clone(), &dir, opts(3)).unwrap();
             for (seq, w) in stream.iter().enumerate() {

@@ -15,9 +15,13 @@
 //! MANIFEST            = "graphprof-wal/1 stripes=N"  (pins the stripe count)
 //! wal/p000/seg-*.wal  = stripe 0's segments
 //! wal/p001/seg-*.wal  = stripe 1's segments …
-//! wal/seg-*.wal       = pre-partition (legacy) segments: replayed
-//!                       read-only, never appended to again
 //! ```
+//!
+//! MANIFEST is written before any partition exists, so a directory
+//! without one is either fresh or damaged: [`open_partitions`] refuses
+//! to open a directory whose `wal/` or `snap/` holds anything but no
+//! MANIFEST accounts for it (a pre-stripe `wal/seg-*.wal` layout
+//! included), rather than silently dropping records it cannot place.
 //!
 //! Each segment starts with an atomically-written header (temp file +
 //! fsync + rename) and is then appended to in place:
@@ -28,10 +32,9 @@
 //! body     = series (u16 LE len + UTF-8) · seq u64 LE · blob (u32 LE len + bytes)
 //! ```
 //!
-//! Appends come in two grains. [`Wal::append`] is the classic one-fsync
-//! -per-record path. Group commit splits it: [`Wal::append_buffered`]
-//! stages a record in the OS file (no fsync), and one [`Wal::commit`]
-//! makes the whole staged batch durable — the caller releases every
+//! Appends are group-committed: [`Wal::append_buffered`] stages a
+//! record in the OS file (no fsync), and one [`Wal::commit`] makes the
+//! whole staged batch durable — the caller releases every
 //! acknowledgment in the batch only after the commit returns, so
 //! fsync-before-ack is preserved while the fsync itself is amortized.
 //!
@@ -41,8 +44,8 @@
 //! acknowledgment follows the fsync) the truncated record was never
 //! acknowledged. A failed append or commit wedges the log (later calls
 //! fail fast): after a failed durable write the file position is
-//! untrusted, so the stripe stops accepting until restart re-salvages —
-//! fail-stop, never silently divergent.
+//! untrusted, so the stripe stops accepting until a checkpoint heals it
+//! or a restart re-salvages — fail-stop, never silently divergent.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -113,13 +116,11 @@ impl std::fmt::Display for WalRecovery {
 }
 
 /// What a partitioned open ([`open_partitions`]) found and repaired,
-/// per stripe plus the optional pre-partition legacy log.
+/// per stripe.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreRecovery {
     /// The stripe count the store opened with (pinned by MANIFEST).
     pub stripes: usize,
-    /// Recovery of the legacy (pre-partition) log, when one existed.
-    pub legacy: Option<WalRecovery>,
     /// Per-stripe recovery, indexed by stripe number.
     pub partitions: Vec<WalRecovery>,
     /// Stripes that recovered from a checkpoint snapshot (replaying
@@ -134,33 +135,29 @@ pub struct StoreRecovery {
 }
 
 impl StoreRecovery {
-    fn all(&self) -> impl Iterator<Item = &WalRecovery> {
-        self.legacy.iter().chain(self.partitions.iter())
-    }
-
-    /// Valid records recovered across the legacy log and every stripe.
+    /// Valid records recovered across every stripe.
     pub fn records(&self) -> usize {
-        self.all().map(|r| r.records).sum()
+        self.partitions.iter().map(|r| r.records).sum()
     }
 
-    /// Segments scanned across the legacy log and every stripe.
+    /// Segments scanned across every stripe.
     pub fn segments(&self) -> usize {
-        self.all().map(|r| r.segments).sum()
+        self.partitions.iter().map(|r| r.segments).sum()
     }
 
-    /// Torn bytes truncated away across the legacy log and every stripe.
+    /// Torn bytes truncated away across every stripe.
     pub fn torn_bytes(&self) -> u64 {
-        self.all().map(|r| r.torn_bytes).sum()
+        self.partitions.iter().map(|r| r.torn_bytes).sum()
     }
 
-    /// Damaged segments deleted across the legacy log and every stripe.
+    /// Damaged segments deleted across every stripe.
     pub fn dropped_segments(&self) -> usize {
-        self.all().map(|r| r.dropped_segments).sum()
+        self.partitions.iter().map(|r| r.dropped_segments).sum()
     }
 
-    /// The first repair note, if any log needed repair.
+    /// The first repair note, if any stripe's log needed repair.
     pub fn note(&self) -> Option<&str> {
-        self.all().find_map(|r| r.note.as_deref())
+        self.partitions.iter().find_map(|r| r.note.as_deref())
     }
 }
 
@@ -186,14 +183,6 @@ impl std::fmt::Display for StoreRecovery {
             ..WalRecovery::default()
         };
         summary.write_details(f)?;
-        if let Some(legacy) = &self.legacy {
-            write!(
-                f,
-                "\nwal legacy: {} record(s) migrated from {} pre-stripe segment(s)",
-                legacy.records, legacy.segments
-            )?;
-            legacy.write_details(f)?;
-        }
         if self.stripes > 1 {
             for (i, p) in self.partitions.iter().enumerate() {
                 if p.records == 0 && p.torn_bytes == 0 && p.dropped_segments == 0 {
@@ -347,23 +336,8 @@ fn recover_dir(
     Ok((records, recovery, indices, valid_through))
 }
 
-/// Salvages a pre-partition log directory read-only: the records are
-/// replayed, torn tails repaired in place, but nothing is ever appended
-/// there again. `Ok(None)` when the directory holds no segments.
-pub(crate) fn recover_legacy(dir: &Path) -> io::Result<Option<(Vec<WalRecord>, WalRecovery)>> {
-    if !dir.is_dir() {
-        return Ok(None);
-    }
-    let (records, recovery, indices, _) = recover_dir(dir)?;
-    if indices.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some((records.into_iter().map(|(r, _)| r).collect(), recovery)))
-}
-
 /// The pinned stripe count of a data directory, or `None` when no
-/// MANIFEST has been written yet (fresh directory, or one created
-/// before logs were partitioned).
+/// MANIFEST has been written yet.
 ///
 /// # Errors
 ///
@@ -404,14 +378,12 @@ fn write_manifest(data_dir: &Path, stripes: usize) -> io::Result<()> {
 }
 
 /// Everything a partitioned open recovers: one append handle per
-/// stripe, the replayable records (legacy first, then per stripe), and
-/// the merged repair report.
+/// stripe, the replayable records per stripe, and the merged repair
+/// report.
 #[derive(Debug)]
 pub struct PartitionedOpen {
     /// One [`Wal`] per stripe, indexed by stripe number.
     pub partitions: Vec<Wal>,
-    /// Records salvaged from a pre-partition log, in append order.
-    pub legacy_records: Vec<WalRecord>,
     /// Records salvaged per stripe, in that stripe's append order.
     pub partition_records: Vec<Vec<WalRecord>>,
     /// Per stripe, parallel to `partition_records`: each record's
@@ -423,18 +395,45 @@ pub struct PartitionedOpen {
     pub recovery: StoreRecovery,
 }
 
+/// The first file or directory under `data_dir` that no MANIFEST
+/// accounts for, if any. Without a MANIFEST the directory must be
+/// fresh: `wal/` and `snap/` absent or empty, since records and
+/// snapshots of an unknown stripe count cannot be placed. With one, no
+/// segment may sit directly under `wal/` — the pre-stripe layout, which
+/// is no longer replayed.
+fn unaccounted(data_dir: &Path, pinned: Option<usize>) -> io::Result<Option<PathBuf>> {
+    let subdirs: &[&str] = if pinned.is_some() { &["wal"] } else { &["wal", "snap"] };
+    for sub in subdirs {
+        let entries = match fs::read_dir(data_dir.join(sub)) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
+        };
+        for entry in entries {
+            let path = entry?.path();
+            if pinned.is_none() || segment_index(&path).is_some() {
+                return Ok(Some(path));
+            }
+        }
+    }
+    Ok(None)
+}
+
 /// Opens (creating if needed) a striped log under `data_dir`: one
-/// partition directory per stripe plus a read-only salvage of any
-/// pre-partition segments. The stripe count is pinned in `MANIFEST` on
-/// first open; reopening with a different count is refused, because
-/// splitting a series' records across partitions would break the
-/// per-stripe replay contract.
+/// partition directory per stripe. The stripe count is pinned in
+/// `MANIFEST` on first open, before any partition exists; reopening
+/// with a different count is refused, because splitting a series'
+/// records across partitions would break the per-stripe replay
+/// contract.
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error, or `InvalidInput` when `stripes`
-/// contradicts the MANIFEST. Torn or corrupt log tails are salvaged,
-/// not errors.
+/// Returns the underlying I/O error, `InvalidInput` when `stripes`
+/// contradicts the MANIFEST, or `InvalidData` when the directory holds
+/// files no MANIFEST accounts for: log or snapshot files with no
+/// MANIFEST at all, or pre-stripe segments directly under `wal/`.
+/// Nothing is written on either refusal. Torn or corrupt log tails are
+/// salvaged, not errors.
 pub fn open_partitions(
     data_dir: &Path,
     stripes: usize,
@@ -443,7 +442,23 @@ pub fn open_partitions(
 ) -> io::Result<PartitionedOpen> {
     let stripes = stripes.max(1);
     fs::create_dir_all(data_dir)?;
-    match read_manifest(data_dir)? {
+    let pinned = read_manifest(data_dir)?;
+    if let Some(path) = unaccounted(data_dir, pinned)? {
+        let why = if pinned.is_some() {
+            "a pre-stripe WAL segment that is no longer replayed"
+        } else {
+            "but has no MANIFEST pinning its stripe count"
+        };
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "refusing to open data dir {}: it holds {}, {why}",
+                data_dir.display(),
+                path.display()
+            ),
+        ));
+    }
+    match pinned {
         Some(pinned) if pinned != stripes => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -457,9 +472,6 @@ pub fn open_partitions(
         Some(_) => {}
         None => write_manifest(data_dir, stripes)?,
     }
-    let log_root = data_dir.join("wal");
-    fs::create_dir_all(&log_root)?;
-    let legacy = recover_legacy(&log_root)?;
     let mut partitions = Vec::with_capacity(stripes);
     let mut partition_records = Vec::with_capacity(stripes);
     let mut partition_positions = Vec::with_capacity(stripes);
@@ -472,18 +484,12 @@ pub fn open_partitions(
         partition_positions.push(positions);
         partition_recovery.push(recovery);
     }
-    let (legacy_records, legacy_recovery) = match legacy {
-        Some((records, recovery)) => (records, Some(recovery)),
-        None => (Vec::new(), None),
-    };
     Ok(PartitionedOpen {
         partitions,
-        legacy_records,
         partition_records,
         partition_positions,
         recovery: StoreRecovery {
             stripes,
-            legacy: legacy_recovery,
             partitions: partition_recovery,
             snapshots_loaded: 0,
             covered_records: 0,
@@ -492,7 +498,7 @@ pub fn open_partitions(
 }
 
 /// The write-ahead log: an append handle over the newest segment of one
-/// log directory (a stripe partition, or the whole log pre-striping).
+/// log directory (a stripe partition).
 #[derive(Debug)]
 pub struct Wal {
     dir: PathBuf,
@@ -509,9 +515,11 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (creating if needed) the log under `data_dir/wal`, repairs
-    /// any torn tail, and returns the append handle, every valid record
-    /// in append order, and a report of what was repaired.
+    /// Opens (creating if needed) a standalone log under `data_dir/wal`,
+    /// repairs any torn tail, and returns the append handle, every valid
+    /// record in append order, and a report of what was repaired. A
+    /// store never logs here: its partitions live one level down (see
+    /// [`open_partitions`]).
     ///
     /// # Errors
     ///
@@ -590,15 +598,10 @@ impl Wal {
         Ok((wal, records, positions, recovery))
     }
 
-    /// Appends one upload record and makes it durable (fsync) before
-    /// returning. Rotates to a new segment when the current one is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error. After any failure the log is
-    /// wedged: every later append fails fast, and only a restart (which
-    /// re-salvages the tail) clears the condition.
-    pub fn append(&mut self, series: &str, seq: u64, blob: &[u8]) -> io::Result<()> {
+    /// A one-record batch: [`Wal::append_buffered`] then
+    /// [`Wal::commit`], for the unit tests.
+    #[cfg(test)]
+    pub(crate) fn append(&mut self, series: &str, seq: u64, blob: &[u8]) -> io::Result<()> {
         self.append_buffered(series, seq, blob)?;
         self.commit()
     }
@@ -607,12 +610,14 @@ impl Wal {
     /// The record is durable only after the next [`Wal::commit`]; the
     /// caller must not acknowledge the upload before that commit
     /// returns. Rotation syncs the outgoing segment first, so a commit
-    /// only ever needs to fsync the current file.
+    /// only ever needs to fsync the current file. Rotates to a new
+    /// segment when the current one is full.
     ///
     /// # Errors
     ///
-    /// Returns the underlying I/O error and wedges the log, exactly as
-    /// [`Wal::append`].
+    /// Returns the underlying I/O error. After any failure the log is
+    /// wedged: every later append or commit fails fast until a heal
+    /// ([`Wal::rotate_to`]) or a restart, which re-salvages the tail.
     pub fn append_buffered(&mut self, series: &str, seq: u64, blob: &[u8]) -> io::Result<()> {
         if let Some(why) = &self.wedged {
             return Err(io::Error::other(format!("wal is wedged: {why}")));
@@ -803,6 +808,27 @@ fn scan_segment(bytes: &[u8]) -> (usize, Vec<(WalRecord, u64)>, Option<String>) 
         records.push((record, offset as u64));
     }
     (offset, records, None)
+}
+
+/// Every file and directory under `dir` with its bytes (`None` for a
+/// directory), so a test can assert that a refused open wrote nothing.
+#[cfg(test)]
+pub(crate) fn tree(dir: &Path) -> std::collections::BTreeMap<PathBuf, Option<Vec<u8>>> {
+    let mut found = std::collections::BTreeMap::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                stack.push(path.clone());
+                found.insert(path, None);
+            } else {
+                let bytes = fs::read(&path).unwrap();
+                found.insert(path, Some(bytes));
+            }
+        }
+    }
+    found
 }
 
 #[cfg(test)]
@@ -1120,32 +1146,61 @@ mod tests {
         assert_eq!(opened.partition_records[0].len(), 1);
         assert_eq!(opened.partition_records[1].len(), 2);
         assert_eq!(opened.recovery.records(), 3);
-        assert!(opened.legacy_records.is_empty());
         let rendered = opened.recovery.to_string();
         assert!(rendered.contains("across 2 stripe(s)"), "{rendered}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn legacy_segments_are_salvaged_read_only() {
-        let dir = tmpdir("legacy");
-        // A PR-5-era store: segments directly under wal/.
+    fn directories_no_manifest_accounts_for_are_refused_untouched() {
+        let refused = |dir: &Path, stripes: usize| {
+            let before = tree(dir);
+            let err = open_partitions(dir, stripes, DEFAULT_SEGMENT_BYTES, &FaultPlan::none())
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains(&dir.display().to_string()), "{err}");
+            assert_eq!(tree(dir), before, "a refused open wrote nothing");
+        };
+        // A pre-stripe store: segments directly under wal/, no MANIFEST.
+        let dir = tmpdir("pre-stripe");
         {
             let (mut wal, _, _) = open(&dir);
             wal.append("old", 0, &[7; 8]).unwrap();
             wal.append("old", 1, &[8; 8]).unwrap();
         }
+        refused(&dir, 1);
+        refused(&dir, 2);
+        assert_eq!(read_manifest(&dir).unwrap(), None);
+        // The same segments beside a MANIFEST are still not replayable.
+        write_manifest(&dir, 2).unwrap();
+        refused(&dir, 2);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // A striped store whose MANIFEST was lost.
+        let dir = tmpdir("lost-manifest");
+        {
+            let mut opened =
+                open_partitions(&dir, 2, DEFAULT_SEGMENT_BYTES, &FaultPlan::none()).unwrap();
+            opened.partitions[1].append("right", 0, &[2; 8]).unwrap();
+        }
+        fs::remove_file(dir.join("MANIFEST")).unwrap();
+        refused(&dir, 1);
+        refused(&dir, 2);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // Snapshots alone are as unplaceable as log records.
+        let dir = tmpdir("snap-only");
+        fs::create_dir_all(dir.join("snap/p000")).unwrap();
+        refused(&dir, 1);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // Empty log and snapshot roots are a fresh directory.
+        let dir = tmpdir("empty-roots");
+        fs::create_dir_all(dir.join("wal")).unwrap();
+        fs::create_dir_all(dir.join("snap")).unwrap();
         let opened = open_partitions(&dir, 2, DEFAULT_SEGMENT_BYTES, &FaultPlan::none()).unwrap();
-        assert_eq!(opened.legacy_records.len(), 2);
-        assert_eq!(opened.recovery.records(), 2);
-        assert!(opened.recovery.legacy.is_some());
-        let rendered = opened.recovery.to_string();
-        assert!(rendered.contains("legacy"), "{rendered}");
-        drop(opened);
-        // The legacy segments are still there (still the durable copy)
-        // and still replay on the next open.
-        let opened = open_partitions(&dir, 2, DEFAULT_SEGMENT_BYTES, &FaultPlan::none()).unwrap();
-        assert_eq!(opened.legacy_records.len(), 2);
+        assert_eq!(opened.partitions.len(), 2);
+        assert_eq!(read_manifest(&dir).unwrap(), Some(2));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,7 +9,7 @@ use graphprof_server::frame::{
     read_frame, write_frame, Frame, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION,
 };
 use graphprof_server::proto::{
-    kind, KgmonVerb, MonRange, QueryKind, RegressScope, ReportFormat, Request, Response,
+    KgmonVerb, MonRange, QueryKind, RegressScope, ReportFormat, Request, Response,
 };
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
@@ -172,12 +172,16 @@ proptest! {
 
     /// Corrupting any single header byte of a valid frame never panics:
     /// it decodes to the same frame only if the byte was redundant, and
-    /// otherwise fails with a typed error.
+    /// otherwise fails with a typed error. A frame at any version but
+    /// [`VERSION`] is refused from the header alone.
     #[test]
     fn header_corruption_never_panics(frame in arb_frame(), at in 0usize..HEADER_LEN, bits in 1u8..=255) {
         let mut encoded = encode(&frame);
         encoded[at] ^= bits;
-        let _ = read_frame(&mut encoded.as_slice(), DEFAULT_MAX_PAYLOAD);
+        let result = read_frame(&mut encoded.as_slice(), DEFAULT_MAX_PAYLOAD);
+        if at == 4 || at == 5 {
+            prop_assert!(matches!(result, Err(WireError::UnsupportedVersion { .. })), "{result:?}");
+        }
     }
 
     /// Arbitrary bytes fed to the frame reader never panic.
@@ -212,24 +216,13 @@ proptest! {
     }
 
     /// Truncating a valid message payload at any point is `Malformed`,
-    /// never a panic or a bogus decode of trailing garbage — except the
-    /// one prefix the protocol blesses: a diff missing only its trailing
-    /// format byte is a valid version-1 diff request (text format).
+    /// never a panic or a bogus decode of trailing garbage — a diff
+    /// missing only its trailing format byte included.
     #[test]
     fn truncated_messages_are_malformed(request in arb_request()) {
         let frame = request.to_frame();
         for len in 0..frame.payload.len() {
             let cut = Frame::new(frame.kind, frame.payload[..len].to_vec());
-            if frame.kind == kind::DIFF && len == frame.payload.len() - 1 {
-                prop_assert!(
-                    matches!(
-                        Request::from_frame(&cut),
-                        Ok(Request::Diff { format: ReportFormat::Text, .. })
-                    ),
-                    "{request:?} cut to {len}"
-                );
-                continue;
-            }
             prop_assert!(
                 matches!(Request::from_frame(&cut), Err(WireError::Malformed(_))),
                 "{request:?} cut to {len}"

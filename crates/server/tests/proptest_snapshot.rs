@@ -10,7 +10,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -70,7 +69,6 @@ const SERIES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 fn opts(stripes: usize, fault: FaultPlan) -> StoreOptions {
     StoreOptions {
         stripes,
-        group_commit: Some(Duration::ZERO),
         // Tiny segments so checkpoints actually have segments to delete.
         segment_bytes: 512,
         retain: 2,
@@ -147,7 +145,7 @@ fn crashed_matches_pristine(crashed: &Path, pristine: &Path, stripes: usize) {
     assert_identical(&got, &want);
 }
 
-/// Every `.wal` segment under `dir`, recursively (legacy + partitions).
+/// Every `.wal` segment under `dir`, recursively.
 fn wal_segments(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![dir.join("wal")];

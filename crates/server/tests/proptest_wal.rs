@@ -7,7 +7,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
-use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -29,6 +28,12 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn reopen(dir: &Path) -> (Wal, Vec<WalRecord>, WalRecovery) {
     Wal::open(dir, 1 << 20, FaultPlan::none()).expect("log reopens")
+}
+
+/// A one-record group commit: the record is durable once this returns.
+fn append(wal: &mut Wal, series: &str, seq: u64, blob: &[u8]) -> std::io::Result<()> {
+    wal.append_buffered(series, seq, blob)?;
+    wal.commit()
 }
 
 fn arb_records() -> impl Strategy<Value = Vec<(String, Vec<u8>)>> {
@@ -75,7 +80,7 @@ proptest! {
                 Wal::open(&dir, 1 << 20, FaultPlan::new(spec)).expect("log opens");
             prop_assert!(replayed.is_empty());
             for (series, seq, blob) in &attempted {
-                if wal.append(series, *seq, blob).is_ok() {
+                if append(&mut wal, series, *seq, blob).is_ok() {
                     // Fail-stop: the log wedges after one failure, so
                     // every acknowledgment precedes every failure.
                     prop_assert!(!saw_failure);
@@ -110,7 +115,7 @@ proptest! {
         {
             let (mut wal, _, _) = reopen(&dir);
             for (seq, (series, blob)) in records.iter().enumerate() {
-                wal.append(series, seq as u64, blob).expect("append succeeds");
+                append(&mut wal, series, seq as u64, blob).expect("append succeeds");
             }
         }
         let seg = dir.join("wal").join("seg-00000001.wal");
@@ -130,7 +135,7 @@ proptest! {
         );
         // The salvaged log is live again.
         let next = records.len() as u64;
-        wal.append("after", next, b"fresh").expect("salvaged log accepts appends");
+        append(&mut wal, "after", next, b"fresh").expect("salvaged log accepts appends");
         drop(wal);
         let (_, after, _) = reopen(&dir);
         prop_assert_eq!(after.len(), recovered.len() + 1);
@@ -170,12 +175,7 @@ fn arb_uploads() -> impl Strategy<Value = Vec<(usize, usize)>> {
 const SERIES: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
 
 fn striped_opts(stripes: usize) -> StoreOptions {
-    StoreOptions {
-        stripes,
-        group_commit: Some(Duration::ZERO),
-        segment_bytes: 1 << 20,
-        ..StoreOptions::default()
-    }
+    StoreOptions { stripes, segment_bytes: 1 << 20, ..StoreOptions::default() }
 }
 
 proptest! {

@@ -2,8 +2,8 @@
 //!
 //! The optimized paths — `Histogram::record_batch`, the machine's
 //! batched tick delivery (`MachineConfig::tick_batch`), the interpreter's
-//! predecode sweep, and the arc table's software-prefetch probe — are all
-//! governed by one contract: **they never change an output byte**. This
+//! and predecode sweep — are all governed by one contract: **they never
+//! change an output byte**. This
 //! suite enforces the contract end to end by running real workloads twice:
 //!
 //! * once under a *reference profiler* built from the frozen scalar
@@ -11,7 +11,7 @@
 //!   delivery with `tick_batch = 1`), charging exactly the costs the
 //!   seed's `RuntimeProfiler` charged;
 //! * once under the shipping `RuntimeProfiler` across a matrix of
-//!   hot-path knobs (batch sizes, prefetch, predecode jobs, shifts,
+//!   hot-path knobs (batch sizes, predecode jobs, shifts,
 //!   tick granularities);
 //!
 //! and asserting the `gmon.out` bytes and the rendered listings are
@@ -29,7 +29,7 @@ use graphprof_workloads::synthetic::{layered_dag, DagParams};
 use graphprof_workloads::{apps, paper, synthetic};
 
 /// The seed's profiler, reassembled from the frozen scalar reference
-/// pieces: plain (non-prefetching) arc probe, per-sample scalar
+/// pieces: the plain arc probe, per-sample scalar
 /// histogram recording, and the exact `MonitorCosts` cost formula of
 /// `RuntimeProfiler` so the program clock — and therefore every tick —
 /// advances identically.
@@ -96,15 +96,14 @@ impl ProfilingHooks for ReferenceProfiler {
 struct Knobs {
     tick_batch: usize,
     predecode_jobs: usize,
-    prefetch: bool,
 }
 
 const KNOB_MATRIX: &[Knobs] = &[
-    Knobs { tick_batch: 1, predecode_jobs: 1, prefetch: false },
-    Knobs { tick_batch: 64, predecode_jobs: 1, prefetch: false },
-    Knobs { tick_batch: 64, predecode_jobs: 4, prefetch: true },
-    Knobs { tick_batch: 7, predecode_jobs: 4, prefetch: false },
-    Knobs { tick_batch: 1 << 20, predecode_jobs: 1, prefetch: true },
+    Knobs { tick_batch: 1, predecode_jobs: 1 },
+    Knobs { tick_batch: 64, predecode_jobs: 1 },
+    Knobs { tick_batch: 64, predecode_jobs: 4 },
+    Knobs { tick_batch: 7, predecode_jobs: 4 },
+    Knobs { tick_batch: 1 << 20, predecode_jobs: 1 },
 ];
 
 fn profile_reference(exe: &Executable, tick: u64, shift: u8) -> GmonData {
@@ -130,8 +129,7 @@ fn profile_optimized(exe: &Executable, tick: u64, shift: u8, knobs: Knobs) -> Gm
         ..MachineConfig::default()
     };
     let mut machine = Machine::with_config(exe.clone(), config);
-    let mut profiler =
-        RuntimeProfiler::with_granularity(exe, tick, shift).arc_prefetch(knobs.prefetch);
+    let mut profiler = RuntimeProfiler::with_granularity(exe, tick, shift);
     machine.run(&mut profiler).expect("optimized run halts");
     profiler.finish()
 }
@@ -194,8 +192,8 @@ fn rendered_listings_match_reference() {
         let reference = profile_reference(&exe, tick, 0);
         let ref_listings = listings(&exe, &reference);
         for &knobs in &[
-            Knobs { tick_batch: 64, predecode_jobs: 4, prefetch: true },
-            Knobs { tick_batch: 5, predecode_jobs: 1, prefetch: false },
+            Knobs { tick_batch: 64, predecode_jobs: 4 },
+            Knobs { tick_batch: 5, predecode_jobs: 1 },
         ] {
             let optimized = profile_optimized(&exe, tick, 0, knobs);
             assert_eq!(optimized.to_bytes(), reference.to_bytes(), "{name}: bytes");
@@ -212,7 +210,7 @@ fn monitor_range_filters_identically_under_batching() {
     let (_, sym) = exe.symbols().iter().nth(1).expect("a routine to restrict to");
     let range = (sym.addr(), sym.end());
 
-    let run = |tick_batch: usize, prefetch: bool| {
+    let run = |tick_batch: usize| {
         let config = MachineConfig {
             cycles_per_tick: 7,
             collect_ground_truth: false,
@@ -220,14 +218,13 @@ fn monitor_range_filters_identically_under_batching() {
             ..MachineConfig::default()
         };
         let mut machine = Machine::with_config(exe.clone(), config);
-        let mut profiler = RuntimeProfiler::with_granularity(&exe, 7, 0).arc_prefetch(prefetch);
+        let mut profiler = RuntimeProfiler::with_granularity(&exe, 7, 0);
         profiler.set_monitor_range(Some(range));
         machine.run(&mut profiler).expect("halts");
         profiler.finish().to_bytes()
     };
 
-    let baseline = run(1, false);
-    assert_eq!(run(64, false), baseline);
-    assert_eq!(run(64, true), baseline);
-    assert_eq!(run(3, true), baseline);
+    let baseline = run(1);
+    assert_eq!(run(64), baseline);
+    assert_eq!(run(3), baseline);
 }
