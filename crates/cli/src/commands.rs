@@ -5,7 +5,7 @@ use std::path::Path;
 
 use graphprof::{Filter, Gprof, Options};
 use graphprof_machine::{
-    asm, disasm, objfile, CompileOptions, Instrumentation, Machine, MachineConfig,
+    asm, disasm, objfile, CompileError, CompileOptions, Instrumentation, Machine, MachineConfig,
     ProfileSelection, RunStatus,
 };
 use graphprof_monitor::RuntimeProfiler;
@@ -177,10 +177,18 @@ pub fn assemble(args: &Args) -> Result<String, CliError> {
     };
     let mut options = CompileOptions { instrumentation, profile, ..CompileOptions::default() };
     if let Some(base) = args.int_value("base")? {
-        options.base = graphprof_machine::Addr::new(base as u32);
+        let base = u32::try_from(base).map_err(|_| {
+            CliError::Usage(format!("--base must be in 0x1..=0xffffffff (got {base:#x})"))
+        })?;
+        options.base = graphprof_machine::Addr::new(base);
     }
 
-    let exe = program.compile(&options)?;
+    // A null base, or one too close to the top of the address space for
+    // the text, is the flag's fault.
+    let exe = program.compile(&options).map_err(|e| match e {
+        CompileError::TextOutOfRange { .. } => CliError::Usage(format!("--base: {e}")),
+        e => e.into(),
+    })?;
     // The compiler's output is verified before it is written; lints
     // (unreachable routines) are reported but do not fail the build,
     // while error-severity issues abort without writing the output.
@@ -224,9 +232,12 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let [input] = args.positionals() else {
         return Err(CliError::Usage("gpx-run <prog.gpx> [--profile gmon.out]".to_string()));
     };
+    let shift = match args.int_value("shift")?.unwrap_or(0) {
+        shift @ 0..=31 => shift as u8,
+        shift => return Err(CliError::Usage(format!("--shift must be in 0..=31 (got {shift})"))),
+    };
     let exe = load_executable(input)?;
     let tick = args.int_value("tick")?.unwrap_or(100);
-    let shift = args.int_value("shift")?.unwrap_or(0) as u8;
     let budget = args.int_value("max-cycles")?;
     let profiling = !args.switch("no-profile");
 

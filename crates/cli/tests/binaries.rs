@@ -3,7 +3,7 @@
 //! gmon.out at exit), and post-process — plus its failure modes.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 struct TempDir(PathBuf);
@@ -277,6 +277,42 @@ fn runtime_errors_exit_1_with_message() {
     let out = run_bin("graphprof", &[&exe_b, &gmon_a]);
     assert_eq!(out.status.code(), Some(1));
     assert!(stderr(&out).contains("does not match"), "{}", stderr(&out));
+}
+
+/// Numeric flags outside what the tools can represent are usage errors
+/// (exit 2) that name the flag and its range, and nothing is written.
+/// Unchecked, `--shift 32` and `--shift 300` panicked, `--shift 256`
+/// wrapped to a shift-0 profile, `--base 0x100001000` wrapped to 0x1000,
+/// and `--base 0` and `--base 0xfffffff0` panicked in the compiler.
+#[test]
+fn out_of_range_numeric_flags_are_usage_errors_that_write_nothing() {
+    let dir = TempDir::new("flagranges");
+    let src = dir.path("pipeline.s");
+    let exe = dir.path("pipeline.gpx");
+    fs::write(&src, SOURCE).expect("write source");
+    assert!(run_bin("gpx-as", &[&src, "--instrument", "gprof", "--out", &exe]).status.success());
+
+    for shift in ["32", "300", "256"] {
+        let gmon = dir.path(&format!("gmon.{shift}"));
+        let out = run_bin("gpx-run", &[&exe, "--shift", shift, "--profile", &gmon]);
+        assert_eq!(out.status.code(), Some(2), "--shift {shift}: {}", stderr(&out));
+        assert!(stderr(&out).contains("--shift must be in 0..=31"), "{}", stderr(&out));
+        assert!(!Path::new(&gmon).exists(), "--shift {shift} wrote {gmon}");
+    }
+    for base in ["0x100001000", "0", "0xfffffff0"] {
+        let out_path = dir.path(&format!("at-{base}.gpx"));
+        let out = run_bin("gpx-as", &[&src, "--base", base, "--out", &out_path]);
+        assert_eq!(out.status.code(), Some(2), "--base {base}: {}", stderr(&out));
+        assert!(stderr(&out).contains("--base"), "{}", stderr(&out));
+        assert!(stderr(&out).contains("0x1..=0xffffffff"), "{}", stderr(&out));
+        assert!(!Path::new(&out_path).exists(), "--base {base} wrote {out_path}");
+    }
+
+    // The largest shift and a high base that still fits are accepted.
+    let gmon = dir.path("gmon.31");
+    assert!(run_bin("gpx-run", &[&exe, "--shift", "31", "--profile", &gmon]).status.success());
+    let high = dir.path("high.gpx");
+    assert!(run_bin("gpx-as", &[&src, "--base", "0xffff0000", "--out", &high]).status.success());
 }
 
 /// A program whose every call site runs exactly once per activation of

@@ -90,6 +90,15 @@ pub enum CompileError {
         /// The offending register index.
         register: u8,
     },
+    /// The text segment does not fit the address space: its base is the
+    /// null address, which is reserved for spontaneous callers, or its
+    /// exclusive end would lie past `0xffff_ffff`.
+    TextOutOfRange {
+        /// The requested text base.
+        base: Addr,
+        /// The text segment's size in bytes.
+        size: u64,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -113,6 +122,9 @@ impl fmt::Display for CompileError {
             }
             CompileError::RegisterOutOfRange { routine, register } => {
                 write!(f, "register {register} out of range in `{routine}`")
+            }
+            CompileError::TextOutOfRange { base, size } => {
+                write!(f, "{size} bytes of text at base {base} do not fit in 0x1..=0xffffffff")
             }
         }
     }

@@ -256,6 +256,10 @@ pub struct Machine {
     instructions: u64,
     halted: bool,
     cur_sym: Option<SymbolId>,
+    /// Clock value at which the next sample tick fires: the smallest
+    /// multiple of `cycles_per_tick` above `clock`, or `u64::MAX` when
+    /// sampling is off.
+    next_tick: u64,
     truth: Option<TruthCollector>,
     /// Scratch buffer for stack-sample delivery.
     stack_scratch: Vec<Addr>,
@@ -268,6 +272,8 @@ pub struct Machine {
     /// tails) falls back to the on-demand decoder. Empty when
     /// `predecode_jobs == 0`.
     decoded: Vec<Option<(Instruction, u32)>>,
+    /// The routine containing each text offset (see [`routine_index`]).
+    routines: Vec<u32>,
 }
 
 impl Machine {
@@ -280,8 +286,9 @@ impl Machine {
     pub fn with_config(exe: Executable, config: MachineConfig) -> Self {
         let truth = config.collect_ground_truth.then(|| TruthCollector::new(exe.symbols().len()));
         let entry = exe.entry();
-        let cur_sym = exe.symbols().lookup_pc(entry).map(|(id, _)| id);
         let decoded = predecode(&exe, config.predecode_jobs);
+        let routines = routine_index(&exe);
+        let next_tick = if config.cycles_per_tick > 0 { config.cycles_per_tick } else { u64::MAX };
         let mut machine = Machine {
             exe,
             config,
@@ -293,15 +300,18 @@ impl Machine {
             clock: 0,
             instructions: 0,
             halted: false,
-            cur_sym,
+            cur_sym: None,
+            next_tick,
             truth,
             stack_scratch: Vec::new(),
             tick_buf: Vec::with_capacity(config.tick_batch.min(1 << 16)),
             decoded,
+            routines,
         };
+        machine.cur_sym = machine.routine_at(entry);
         // The entry routine's activation is spontaneous: count it as one
         // call entered at clock zero.
-        if let (Some(t), Some(sym)) = (machine.truth.as_mut(), cur_sym) {
+        if let (Some(t), Some(sym)) = (machine.truth.as_mut(), machine.cur_sym) {
             t.enter(sym, 0);
         }
         machine
@@ -463,42 +473,74 @@ impl Machine {
 
     /// Consumes `n` cycles with the program counter at `at_pc`, delivering
     /// any clock ticks that elapse to the sampler hook.
+    ///
+    /// The ticks are the multiples of `cycles_per_tick` in `(clock, clock +
+    /// n]`. Counting them from `next_tick` costs one compare when none
+    /// elapses, and a division only when more than one does.
     fn consume<H: ProfilingHooks>(&mut self, hooks: &mut H, n: u64, at_pc: Addr) {
         if n == 0 {
             return;
         }
+        let clock = self.clock + n;
         let t = self.config.cycles_per_tick;
-        // (clippy suggests checked_div; the explicit `t > 0` test reads as
-        // "sampling enabled", which is the actual meaning of t == 0.)
-        #[allow(clippy::manual_checked_ops)]
-        if t > 0 {
-            let before = self.clock / t;
-            let after = (self.clock + n) / t;
-            if after > before {
-                let ticks = after - before;
-                if hooks.wants_stack_samples() {
-                    // Stack samples need the live stack, so they cannot be
-                    // deferred; flush first to keep tick order intact.
-                    self.flush_ticks(hooks);
-                    hooks.on_tick(at_pc, ticks);
-                    self.stack_scratch.clear();
-                    self.stack_scratch.push(at_pc);
-                    self.stack_scratch.extend(self.stack.iter().rev().map(|f| f.return_pc));
-                    hooks.on_stack_sample(&self.stack_scratch, ticks);
-                } else if self.config.tick_batch <= 1 {
-                    hooks.on_tick(at_pc, ticks);
-                } else {
-                    self.tick_buf.push((at_pc, ticks));
-                    if self.tick_buf.len() >= self.config.tick_batch {
-                        self.flush_ticks(hooks);
-                    }
-                }
-            }
+        // With sampling off `next_tick` is `u64::MAX`, which a clock can
+        // still reach exactly when a hook charges enough cycles.
+        if clock >= self.next_tick && t > 0 {
+            let past = clock - self.next_tick;
+            let ticks = if past < t { 1 } else { past / t + 1 };
+            self.next_tick += ticks * t;
+            self.deliver_ticks(hooks, at_pc, ticks);
         }
-        self.clock += n;
+        self.clock = clock;
         if let (Some(truth), Some(sym)) = (self.truth.as_mut(), self.cur_sym) {
             truth.self_cycles[sym.index()] += n;
         }
+    }
+
+    /// Hands `ticks` elapsed clock ticks at `at_pc` to the sampler:
+    /// immediately with a stack sample when the hooks want one, otherwise
+    /// through the tick batch.
+    fn deliver_ticks<H: ProfilingHooks>(&mut self, hooks: &mut H, at_pc: Addr, ticks: u64) {
+        if hooks.wants_stack_samples() {
+            // Stack samples need the live stack, so they cannot be
+            // deferred; flush first to keep tick order intact.
+            self.flush_ticks(hooks);
+            hooks.on_tick(at_pc, ticks);
+            self.stack_scratch.clear();
+            self.stack_scratch.push(at_pc);
+            self.stack_scratch.extend(self.stack.iter().rev().map(|f| f.return_pc));
+            hooks.on_stack_sample(&self.stack_scratch, ticks);
+        } else if self.config.tick_batch <= 1 {
+            hooks.on_tick(at_pc, ticks);
+        } else {
+            self.tick_buf.push((at_pc, ticks));
+            if self.tick_buf.len() >= self.config.tick_batch {
+                self.flush_ticks(hooks);
+            }
+        }
+    }
+
+    /// The routine containing `pc`: [`SymbolTable::lookup_pc`] answered
+    /// from the routine index in constant time. `pc` is always inside the
+    /// text here (a fetched instruction, a checked transfer target, or the
+    /// entry point).
+    ///
+    /// [`SymbolTable::lookup_pc`]: crate::SymbolTable::lookup_pc
+    #[inline]
+    fn routine_at(&self, pc: Addr) -> Option<SymbolId> {
+        let offset = pc.checked_sub(self.exe.base())?;
+        match self.routines.get(offset as usize) {
+            Some(&id) if id != NO_ROUTINE => Some(SymbolId::new(id)),
+            _ => None,
+        }
+    }
+
+    /// The entry address of the routine containing `pc`, which is what a
+    /// monitoring prologue reports as its `self_pc`; `pc` itself outside
+    /// every routine.
+    #[inline]
+    fn entry_of(&self, pc: Addr) -> Addr {
+        self.routine_at(pc).map_or(pc, |id| self.exe.symbols().symbol(id).addr())
     }
 
     fn jump(&mut self, from: Addr, target: Addr) -> Result<(), InterpError> {
@@ -506,7 +548,7 @@ impl Machine {
             return Err(InterpError::BadJump { pc: from, target });
         }
         self.pc = target;
-        self.cur_sym = self.exe.symbols().lookup_pc(target).map(|(id, _)| id);
+        self.cur_sym = self.routine_at(target);
         Ok(())
     }
 
@@ -530,7 +572,7 @@ impl Machine {
         if !self.exe.contains(target) {
             return Err(InterpError::BadJump { pc: at_pc, target });
         }
-        let callee_sym = self.exe.symbols().lookup_pc(target).map(|(id, _)| id);
+        let callee_sym = self.routine_at(target);
         let arc_key = self.truth.is_some().then_some((return_pc, target));
         if let Some(truth) = self.truth.as_mut() {
             truth.arcs.entry((return_pc, target)).or_insert((0, 0)).0 += 1;
@@ -657,15 +699,13 @@ impl Machine {
             }
             Instruction::Mcount => {
                 let from_pc = self.stack.last().map(|f| f.return_pc).unwrap_or(Addr::NULL);
-                let self_pc =
-                    self.exe.symbols().lookup_pc(pc).map(|(_, sym)| sym.addr()).unwrap_or(pc);
+                let self_pc = self.entry_of(pc);
                 let monitor_cost = hooks.on_mcount(from_pc, self_pc);
                 self.consume(hooks, monitor_cost, pc);
                 self.pc = pc.offset(len);
             }
             Instruction::CountCall => {
-                let self_pc =
-                    self.exe.symbols().lookup_pc(pc).map(|(_, sym)| sym.addr()).unwrap_or(pc);
+                let self_pc = self.entry_of(pc);
                 let monitor_cost = hooks.on_count_call(self_pc);
                 self.consume(hooks, monitor_cost, pc);
                 self.pc = pc.offset(len);
@@ -690,7 +730,7 @@ impl Machine {
         if !self.stack.is_empty() {
             return;
         }
-        let entry_sym = self.exe.symbols().lookup_pc(self.exe.entry()).map(|(id, _)| id);
+        let entry_sym = self.routine_at(self.exe.entry());
         if let (Some(truth), Some(sym)) = (self.truth.as_mut(), entry_sym) {
             if truth.on_stack[sym.index()] > 0 {
                 let clock = self.clock;
@@ -698,6 +738,30 @@ impl Machine {
             }
         }
     }
+}
+
+/// Marks text offsets no symbol covers in the routine index.
+const NO_ROUTINE: u32 = u32::MAX;
+
+/// Builds the routine index: for every text offset, the id of the symbol
+/// containing it, or [`NO_ROUTINE`] in gaps between symbols and past the
+/// last one. It gives the same answer as `SymbolTable::lookup_pc` at 4 bytes
+/// per text byte, the trade the monitor's `CallSiteTable` makes for arcs,
+/// and is built for every predecode setting so all fetch modes share it.
+fn routine_index(exe: &Executable) -> Vec<u32> {
+    let base = u64::from(exe.base().get());
+    let len = exe.text().len() as u64;
+    let mut index = vec![NO_ROUTINE; exe.text().len()];
+    for (id, sym) in exe.symbols().iter() {
+        let addr = u64::from(sym.addr().get());
+        // Clip to the text: symbols may start below it or reach past it.
+        let start = addr.saturating_sub(base).min(len);
+        let end = (addr + u64::from(sym.size())).saturating_sub(base).min(len);
+        if start < end {
+            index[start as usize..end as usize].fill(id.index() as u32);
+        }
+    }
+    index
 }
 
 /// Builds the predecode table: one linear-disassembly sweep per symbol,
@@ -998,6 +1062,21 @@ mod tests {
         let mut prof = Machine::new(exe_prof);
         let with = prof.run(&mut FixedCost).unwrap().clock;
         assert_eq!(with, base + 100);
+    }
+
+    #[test]
+    fn an_unsampled_clock_may_reach_its_last_cycle() {
+        struct Huge;
+        impl ProfilingHooks for Huge {
+            fn on_mcount(&mut self, _: Addr, _: Addr) -> u64 {
+                u64::MAX - CostModel::classic().ret
+            }
+        }
+        let exe = compile_profiled(|b| {
+            b.routine("main", |r| r);
+        });
+        let mut m = Machine::new(exe);
+        assert_eq!(m.run(&mut Huge).unwrap().clock, u64::MAX);
     }
 
     #[test]
@@ -1324,6 +1403,60 @@ mod tests {
         }
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[1], runs[2]);
+    }
+
+    /// Assembles `code` at 0x1000 with the given `(name, addr, size)`
+    /// symbols, entering at the base.
+    fn hand_built(code: &[Instruction], symbols: &[(&str, u32, u32)]) -> Executable {
+        let mut text = Vec::new();
+        for &inst in code {
+            crate::encode::encode_into(inst, &mut text);
+        }
+        let symbols = symbols
+            .iter()
+            .map(|&(name, addr, size)| crate::Symbol::new(name, Addr::new(addr), size, false))
+            .collect();
+        let base = Addr::new(0x1000);
+        Executable::new(base, text, crate::SymbolTable::new(symbols), base)
+    }
+
+    #[test]
+    fn routine_index_answers_like_lookup_pc() {
+        let compiled = compile_profiled(|b| {
+            b.routine("main", |r| r.loop_n(3, |l| l.call("leaf")).call_while(2, "leaf"));
+            b.routine("leaf", |r| r.work(5));
+        });
+        let code = [Instruction::Work(1); 8];
+        // A symbol straddling the base, a gap, and one reaching past the
+        // 40-byte text.
+        let irregular =
+            hand_built(&code, &[("low", 0xff8, 0x10), ("mid", 0x1010, 4), ("high", 0x1020, 0x40)]);
+        for exe in [compiled, irregular] {
+            let index = routine_index(&exe);
+            assert_eq!(index.len(), exe.text().len());
+            for (offset, &id) in index.iter().enumerate() {
+                let pc = exe.base().offset(offset as u32);
+                let want = exe.symbols().lookup_pc(pc).map(|(id, _)| id.index() as u32);
+                assert_eq!(Some(id).filter(|&id| id != NO_ROUTINE), want, "at {pc}");
+            }
+        }
+    }
+
+    /// The current routine changes only on a jump, call or return, so
+    /// running off the end of one routine into the next keeps charging
+    /// the first.
+    #[test]
+    fn falling_through_a_routine_end_charges_the_previous_routine() {
+        let exe = hand_built(
+            &[Instruction::Work(10), Instruction::Work(20), Instruction::Ret],
+            &[("a", 0x1000, 5), ("b", 0x1005, 6)],
+        );
+        let mut m = Machine::new(exe);
+        let summary = m.run(&mut NoHooks).unwrap();
+        let t = m.ground_truth().unwrap();
+        assert_eq!(t.routine("a").unwrap().self_cycles, summary.clock);
+        assert_eq!(t.routine("b").unwrap().self_cycles, 0);
+        assert_eq!(t.routine("b").unwrap().calls, 0);
     }
 
     /// The parallel sweep writes per-symbol results back in symbol order,

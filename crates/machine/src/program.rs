@@ -132,7 +132,8 @@ pub struct CompileOptions {
     /// Which routines are instrumented.
     pub profile: ProfileSelection,
     /// Base address of the text segment. Must be nonzero so that the null
-    /// address stays reserved for "spontaneous" callers.
+    /// address stays reserved for "spontaneous" callers, and leave room for
+    /// the whole text below `0xffff_ffff`.
     pub base: Addr,
 }
 
@@ -217,9 +218,10 @@ impl Program {
     /// # Errors
     ///
     /// Returns [`CompileError::LoopTooDeep`] when loops nest deeper than the
-    /// register file, or [`CompileError::SlotOutOfRange`] for bad slots.
+    /// register file, [`CompileError::SlotOutOfRange`] for bad slots, or
+    /// [`CompileError::TextOutOfRange`] for a null base or a text that would
+    /// end past `0xffff_ffff`.
     pub fn compile(&self, options: &CompileOptions) -> Result<Executable, CompileError> {
-        assert!(!options.base.is_null(), "text base must be nonzero");
         let index: HashMap<&str, usize> =
             self.routines.iter().enumerate().map(|(i, r)| (r.name.as_str(), i)).collect();
 
@@ -247,12 +249,19 @@ impl Program {
             lowered.push(insts);
         }
 
-        // Assign entry addresses.
+        // Assign entry addresses, once the whole text is known to fit.
+        let sizes: Vec<u32> = lowered
+            .iter()
+            .map(|insts| insts.iter().map(|i| encoded_len(i.shape())).sum())
+            .collect();
+        let size: u64 = sizes.iter().map(|&s| u64::from(s)).sum();
+        if options.base.is_null() || u64::from(options.base.get()) + size > u64::from(u32::MAX) {
+            return Err(CompileError::TextOutOfRange { base: options.base, size });
+        }
         let mut entries = Vec::with_capacity(lowered.len());
         let mut cursor = options.base;
-        for insts in &lowered {
+        for &size in &sizes {
             entries.push(cursor);
-            let size: u32 = insts.iter().map(|i| encoded_len(i.shape())).sum();
             cursor = cursor.offset(size);
         }
 
@@ -668,6 +677,22 @@ mod tests {
         assert_eq!(leaf.addr(), main.end());
         assert_eq!(exe.entry(), main.addr());
         assert_eq!(exe.end().checked_sub(exe.base()).unwrap() as usize, exe.text().len());
+    }
+
+    #[test]
+    fn text_must_fit_above_null_and_below_the_top_of_the_address_space() {
+        let p = two_routine_program();
+        let size = p.compile(&CompileOptions::default()).unwrap().text().len() as u64;
+        let at = |base: u32| {
+            p.compile(&CompileOptions { base: Addr::new(base), ..CompileOptions::default() })
+        };
+        // The highest base whose text still ends at 0xffff_ffff compiles.
+        let top = u32::MAX - size as u32;
+        assert_eq!(at(top).unwrap().end(), Addr::new(u32::MAX));
+        for base in [0, top + 1, u32::MAX] {
+            let err = at(base).unwrap_err();
+            assert_eq!(err, CompileError::TextOutOfRange { base: Addr::new(base), size });
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Property-based tests for the machine substrate: encoding, parsing,
-//! compilation, execution accounting, and the object file format.
+//! compilation, execution accounting, and the object file format, plus an
+//! oracle for the interpreter's tick and routine bookkeeping that shares
+//! none of the interpreter's code.
 
 use proptest::prelude::*;
 
 use graphprof_machine::{
     asm, decode_at, disassemble, encode_into, encoded_len, objfile, Addr, CompileOptions,
-    Instruction, Machine, NoHooks, Program, Routine, Stmt, NUM_COUNTERS, NUM_REGS, NUM_SLOTS,
+    Executable, GroundTruth, Instruction, Machine, MachineConfig, NoHooks, Program, Routine, Stmt,
+    Symbol, SymbolTable, NUM_COUNTERS, NUM_REGS, NUM_SLOTS,
 };
 
 fn arb_instruction() -> impl Strategy<Value = Instruction> {
@@ -219,5 +222,259 @@ proptest! {
             prop_assert_eq!(a.calls, b.calls, "{}", a.name);
         }
         prop_assert!(m2.clock() >= m1.clock());
+    }
+}
+
+/// One profiling event, in delivery order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Event {
+    Mcount { from_pc: Addr, self_pc: Addr },
+    CountCall { self_pc: Addr },
+    Tick { pc: Addr, ticks: u64 },
+}
+
+/// Records every hook event. Monitoring calls cost cycles, so every
+/// instruction but `halt` takes at least one and a one-cycle slice runs
+/// exactly one instruction.
+#[derive(Default)]
+struct Recorder {
+    events: Vec<Event>,
+}
+
+impl graphprof_machine::ProfilingHooks for Recorder {
+    fn on_mcount(&mut self, from_pc: Addr, self_pc: Addr) -> u64 {
+        self.events.push(Event::Mcount { from_pc, self_pc });
+        13
+    }
+
+    fn on_count_call(&mut self, self_pc: Addr) -> u64 {
+        self.events.push(Event::CountCall { self_pc });
+        3
+    }
+
+    fn on_tick(&mut self, pc: Addr, ticks: u64) {
+        self.events.push(Event::Tick { pc, ticks });
+    }
+}
+
+/// What one whole run observed.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    events: Vec<Event>,
+    clock: u64,
+    instructions: u64,
+    truth: Option<GroundTruth>,
+}
+
+/// The interpreter's tick and routine bookkeeping, rederived from the
+/// clock, `SymbolTable::lookup_pc` and the decoded instructions alone:
+/// the machine is single-stepped with `run_for(.., 1)` and every slice is
+/// checked as it completes. Returns what the stepped run observed.
+fn single_step(exe: &Executable, config: MachineConfig) -> Observed {
+    let t = config.cycles_per_tick;
+    let symbols = exe.symbols();
+    let entry_of = |pc: Addr| symbols.lookup_pc(pc).map_or(pc, |(_, sym)| sym.addr());
+    let mut machine = Machine::with_config(exe.clone(), config);
+    let mut hooks = Recorder::default();
+    let mut self_cycles = vec![0u64; symbols.len()];
+    // Return addresses of the live frames, innermost last.
+    let mut returns: Vec<Addr> = Vec::new();
+    while !machine.halted() {
+        let (pc, clock, instructions) = (machine.pc(), machine.clock(), machine.instructions());
+        let (inst, len) = exe.decode(pc).expect("decodable pc");
+        let first = hooks.events.len();
+        machine.run_for(&mut hooks, 1).expect("runs");
+        let at = format!("slice at {pc} ({inst}), clock {clock}, tick {t}");
+        assert_eq!(machine.instructions(), instructions + 1, "{at}: one instruction");
+        let delta = machine.clock() - clock;
+        let mut ticks = 0;
+        for &event in &hooks.events[first..] {
+            match event {
+                Event::Tick { pc: sample_pc, ticks: n } => {
+                    assert!(n > 0, "{at}: empty tick");
+                    assert_eq!(sample_pc, pc, "{at}: sample away from the slice's pc");
+                    ticks += n;
+                }
+                Event::Mcount { from_pc, self_pc } => {
+                    assert_eq!(inst, Instruction::Mcount, "{at}: stray mcount");
+                    assert_eq!(self_pc, entry_of(pc), "{at}: mcount self_pc");
+                    assert_eq!(from_pc, returns.last().copied().unwrap_or(Addr::NULL), "{at}");
+                }
+                Event::CountCall { self_pc } => {
+                    assert_eq!(inst, Instruction::CountCall, "{at}: stray count");
+                    assert_eq!(self_pc, entry_of(pc), "{at}: count self_pc");
+                }
+            }
+        }
+        assert_eq!(ticks, machine.clock() / t - clock / t, "{at}: ticks");
+        if let Some((id, _)) = symbols.lookup_pc(pc) {
+            self_cycles[id.index()] += delta;
+        }
+        match inst {
+            Instruction::Call(_) | Instruction::CallIndirect(_) => returns.push(pc.offset(len)),
+            Instruction::Ret => {
+                returns.pop();
+            }
+            _ => {}
+        }
+    }
+    let truth = machine.ground_truth();
+    if let Some(truth) = &truth {
+        for (r, &cycles) in truth.routines().iter().zip(&self_cycles) {
+            assert_eq!(r.self_cycles, cycles, "{}: self cycles at tick {t}", r.name);
+        }
+    }
+    Observed {
+        events: hooks.events,
+        clock: machine.clock(),
+        instructions: machine.instructions(),
+        truth,
+    }
+}
+
+/// One uninterrupted `run()`.
+fn run_once(exe: &Executable, config: MachineConfig) -> Observed {
+    let mut machine = Machine::with_config(exe.clone(), config);
+    let mut hooks = Recorder::default();
+    let summary = machine.run(&mut hooks).expect("halts");
+    Observed {
+        events: hooks.events,
+        clock: summary.clock,
+        instructions: summary.instructions,
+        truth: machine.ground_truth(),
+    }
+}
+
+/// The event stream split into monitoring calls and tick samples: batched
+/// delivery moves samples relative to monitoring calls, never within
+/// their own kind.
+fn by_kind(events: &[Event]) -> (Vec<Event>, Vec<Event>) {
+    events.iter().partition(|e| !matches!(e, Event::Tick { .. }))
+}
+
+const TICKS: [u64; 5] = [1, 2, 7, 64, 1000];
+
+/// Single-steps `exe` against the oracle at both tick batch sizes and
+/// checks that one `run()` observes the same events, clock and ground
+/// truth.
+fn check_against_oracle(exe: &Executable, cycles_per_tick: u64, predecode_jobs: usize) {
+    for tick_batch in [1, 64] {
+        let config = MachineConfig {
+            cycles_per_tick,
+            predecode_jobs,
+            tick_batch,
+            ..MachineConfig::default()
+        };
+        let stepped = single_step(exe, config);
+        let run = run_once(exe, config);
+        let at = format!("tick {cycles_per_tick}, batch {tick_batch}, jobs {predecode_jobs}");
+        assert_eq!((stepped.clock, stepped.instructions), (run.clock, run.instructions), "{at}");
+        assert_eq!(stepped.truth, run.truth, "{at}: ground truth");
+        assert_eq!(by_kind(&stepped.events), by_kind(&run.events), "{at}: events");
+        if tick_batch == 1 {
+            assert_eq!(stepped.events, run.events, "{at}: interleaving");
+        }
+    }
+}
+
+/// An executable the compiler never emits. `main`'s symbol starts below
+/// the text base; `main` calls an unsymbolized routine and then jumps into
+/// an unsymbolized loop that runs `mcount` and `countcall` and takes
+/// ticks; that loop jumps to `tail`, whose symbol reaches past the end of
+/// the text and which jumps to its own last byte. Returns the executable
+/// and the unsymbolized range.
+fn irregular_executable() -> (Executable, (Addr, Addr)) {
+    let len = |insts: &[Instruction]| insts.iter().map(|&i| encoded_len(i)).sum::<u32>();
+    let base = Addr::new(0x1000);
+    let main_len = len(&[
+        Instruction::Mcount,
+        Instruction::Work(10),
+        Instruction::Call(Addr::NULL),
+        Instruction::Jmp(Addr::NULL),
+    ]);
+    let helper = base.offset(main_len);
+    let helper_code = [Instruction::Mcount, Instruction::Work(30), Instruction::Ret];
+    let gap = helper.offset(len(&helper_code));
+    let body = gap.offset(len(&[Instruction::SetReg(0, 0)]));
+    let gap_len = len(&[
+        Instruction::SetReg(0, 0),
+        Instruction::Mcount,
+        Instruction::Work(100),
+        Instruction::DecJnz(0, Addr::NULL),
+        Instruction::CountCall,
+        Instruction::Jmp(Addr::NULL),
+    ]);
+    let tail = gap.offset(gap_len);
+    let tail_ret = tail.offset(len(&[
+        Instruction::Mcount,
+        Instruction::Work(5),
+        Instruction::Jmp(Addr::NULL),
+    ]));
+    let code = [
+        Instruction::Mcount,
+        Instruction::Work(10),
+        Instruction::Call(helper),
+        Instruction::Jmp(gap),
+        helper_code[0],
+        helper_code[1],
+        helper_code[2],
+        Instruction::SetReg(0, 5),
+        Instruction::Mcount,
+        Instruction::Work(100),
+        Instruction::DecJnz(0, body),
+        Instruction::CountCall,
+        Instruction::Jmp(tail),
+        Instruction::Mcount,
+        Instruction::Work(5),
+        Instruction::Jmp(tail_ret),
+        Instruction::Ret,
+    ];
+    let mut text = Vec::new();
+    for inst in code {
+        encode_into(inst, &mut text);
+    }
+    let tail_len = text.len() as u32 - tail.checked_sub(base).expect("tail above base");
+    let symbols = SymbolTable::new(vec![
+        Symbol::new("main", Addr::new(0x1000 - 4), main_len + 4, true),
+        Symbol::new("tail", tail, tail_len + 64, true),
+    ]);
+    (Executable::new(base, text, symbols, base), (helper, tail))
+}
+
+#[test]
+fn irregular_symbol_layouts_agree_with_the_oracle() {
+    let (exe, (gap_start, gap_end)) = irregular_executable();
+    let in_gap = |pc: Addr| pc >= gap_start && pc < gap_end;
+    for cycles_per_tick in TICKS {
+        for predecode_jobs in [0, 1, 4] {
+            check_against_oracle(&exe, cycles_per_tick, predecode_jobs);
+        }
+    }
+    // The gap really is exercised: monitoring calls there report their
+    // own pc, and it takes samples.
+    let config = MachineConfig { cycles_per_tick: 7, ..MachineConfig::default() };
+    let events = run_once(&exe, config).events;
+    let gap_mcounts = events
+        .iter()
+        .filter(|e| matches!(e, Event::Mcount { self_pc, .. } if in_gap(*self_pc)))
+        .count();
+    assert_eq!(gap_mcounts, 6, "one in the helper, five around the loop");
+    assert!(events.iter().any(|e| matches!(e, Event::CountCall { self_pc } if in_gap(*self_pc))));
+    assert!(events.iter().any(|e| matches!(e, Event::Tick { pc, .. } if in_gap(*pc))));
+    let truth = run_once(&exe, config).truth.expect("truth enabled");
+    assert_eq!(truth.routine("main").expect("main").entry, Addr::new(0x1000 - 4));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn single_stepped_runs_agree_with_an_independent_oracle(
+        program in arb_program(),
+        tick in (0..TICKS.len()).prop_map(|i| TICKS[i]),
+        predecode_jobs in 0usize..2,
+    ) {
+        let exe = program.compile(&CompileOptions::profiled()).expect("compiles");
+        check_against_oracle(&exe, tick, predecode_jobs);
     }
 }
