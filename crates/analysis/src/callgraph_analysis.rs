@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use graphprof_machine::{encoded_len, Addr, DecodeError, Executable, Instruction};
 use graphprof_monitor::GmonData;
 
-use crate::dataflow::{resolve_indirect_calls_jobs, UnresolvedReason};
+use crate::dataflow::{resolve_indirect_calls, UnresolvedReason};
 use crate::lint::CheckFinding;
 
 /// How a call site transfers control, as precisely as the static
@@ -93,25 +93,13 @@ pub struct ProgramGraph {
 }
 
 impl ProgramGraph {
-    /// Builds the graph single-threaded. See [`ProgramGraph::build_jobs`].
+    /// Builds the whole-program graph.
     ///
     /// # Errors
     ///
     /// Returns the underlying [`DecodeError`] when the text does not
     /// disassemble; run the linter first to get a proper finding.
     pub fn build(exe: &Executable) -> Result<Self, DecodeError> {
-        Self::build_jobs(exe, 1)
-    }
-
-    /// Builds the whole-program graph, fanning disassembly and the slot
-    /// dataflow out over `jobs` workers. The result is identical for
-    /// every worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`DecodeError`] when the text does not
-    /// disassemble.
-    pub fn build_jobs(exe: &Executable, jobs: usize) -> Result<Self, DecodeError> {
         let symbols = exe.symbols();
         let n = symbols.len();
         let mut names = Vec::with_capacity(n);
@@ -123,9 +111,8 @@ impl ProgramGraph {
             node_by_entry.insert(sym.addr(), i);
         }
 
-        let ids: Vec<_> = symbols.iter().map(|(id, _)| id).collect();
-        let disasm = graphprof_exec::parallel_map(jobs, &ids, |_, &id| exe.disassemble_symbol(id));
-        let disasm: Vec<Vec<(Addr, Instruction)>> = disasm.into_iter().collect::<Result<_, _>>()?;
+        let disasm: Vec<Vec<(Addr, Instruction)>> =
+            symbols.iter().map(|(id, _)| exe.disassemble_symbol(id)).collect::<Result<_, _>>()?;
 
         let mut mcount = vec![false; n];
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -153,7 +140,7 @@ impl ProgramGraph {
             }
         }
 
-        let resolution = resolve_indirect_calls_jobs(exe, jobs)?;
+        let resolution = resolve_indirect_calls(exe)?;
         for site in &resolution.resolved {
             let Some(&caller) = symbols.lookup_pc(site.at).map(|(id, _)| id.index()).as_ref()
             else {
@@ -519,14 +506,7 @@ fn intersect(idom: &[Option<usize>], rpo: &[usize], mut a: usize, mut b: usize) 
 /// Findings come back in the same deterministic (routine address, code)
 /// order as the linter's.
 pub fn analyze_profile(exe: &Executable, gmon: &GmonData) -> Vec<CheckFinding> {
-    analyze_profile_jobs(exe, gmon, 1)
-}
-
-/// [`analyze_profile`] with an explicit worker count. The finding list
-/// is byte-identical for every `jobs` value: the fan-out is confined to
-/// disassembly and dataflow, and the graph passes are deterministic.
-pub fn analyze_profile_jobs(exe: &Executable, gmon: &GmonData, jobs: usize) -> Vec<CheckFinding> {
-    crate::checker::ProfileChecker::build_jobs(exe, jobs).analyze(gmon)
+    crate::checker::ProfileChecker::build(exe).analyze(gmon)
 }
 
 /// An observed arc must be one its call site can produce, from code the
@@ -1004,18 +984,5 @@ mod tests {
             )),
             "{findings:?}"
         );
-    }
-
-    #[test]
-    fn analyze_is_jobs_invariant() {
-        let (exe, gmon) = profile(MUTUAL);
-        let a = exe.symbols().by_name("a").unwrap().1.addr();
-        let mut arcs: Vec<RawArc> = gmon.arcs().to_vec();
-        arcs.iter_mut().find(|x| x.self_pc == a && !x.from_pc.is_null()).unwrap().count += 7;
-        let corrupted = GmonData::new(gmon.cycles_per_tick(), gmon.histogram().clone(), arcs);
-        let serial = analyze_profile_jobs(&exe, &corrupted, 1);
-        let parallel = analyze_profile_jobs(&exe, &corrupted, 8);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, analyze_profile(&exe, &corrupted));
     }
 }

@@ -12,7 +12,7 @@
 //! only the per-profile cross-checks (arc endpoints, histogram
 //! geometry, conservation sums, and the dynamic-graph passes) on the
 //! hot path. The finding list is byte-identical to the one-shot
-//! functions for every profile and every worker count.
+//! functions for every profile.
 
 use std::collections::HashMap;
 
@@ -25,7 +25,7 @@ use crate::callgraph_analysis::{
     check_cycle_conformance, check_impossible_arcs, check_unreachable_samples, ProgramGraph,
 };
 use crate::cfg::build_cfg;
-use crate::dataflow::resolve_indirect_calls_jobs;
+use crate::dataflow::resolve_indirect_calls;
 use crate::lint::{has_profiling_prologue, sort_findings, CheckFinding};
 
 /// The once-per-activation direct call sites of one `mcount`-profiled
@@ -67,16 +67,9 @@ pub struct ProfileChecker {
 }
 
 impl ProfileChecker {
-    /// Builds the context single-threaded. See
-    /// [`ProfileChecker::build_jobs`].
+    /// Builds the context: disassembly, per-caller CFG construction, the
+    /// slot dataflow and the whole-program graph.
     pub fn build(exe: &Executable) -> Self {
-        Self::build_jobs(exe, 1)
-    }
-
-    /// Builds the context, fanning disassembly, per-caller CFG
-    /// construction, and the slot dataflow out over `jobs` workers.
-    /// The result is identical for every worker count.
-    pub fn build_jobs(exe: &Executable, jobs: usize) -> Self {
         let exe = exe.clone();
         let symbols = exe.symbols();
 
@@ -106,10 +99,10 @@ impl ProfileChecker {
         }
 
         // Disassemble once; every precomputation reads from this.
-        let ids: Vec<_> = symbols.iter().map(|(id, _)| id).collect();
-        let disasm: Vec<_> = graphprof_exec::parallel_map(jobs, &ids, |_, &id| {
-            exe.disassemble_symbol(id).expect("verified text decodes")
-        });
+        let disasm: Vec<_> = symbols
+            .iter()
+            .map(|(id, _)| exe.disassemble_symbol(id).expect("verified text decodes"))
+            .collect();
 
         let mut static_findings = Vec::new();
         for ((_, sym), insts) in symbols.iter().zip(&disasm) {
@@ -138,41 +131,41 @@ impl ProfileChecker {
                 })
                 .map(|(_, s)| s)
         };
-        // Callers are independent: each builds its own CFG and lists
-        // its own conservation sites, assembled back in symbol order.
-        let conserved: Vec<ConservedCaller> = graphprof_exec::parallel_map(jobs, &ids, |_, &id| {
-            let caller = symbols.symbol(id);
-            counts_arcs(caller.addr())?;
-            let cfg = build_cfg(&exe, id).ok()?; // unreachable: text verified
-            let mut sites = Vec::new();
-            for (bid, block) in cfg.iter() {
-                if !cfg.executes_once_per_activation(bid) {
-                    continue;
+        // Each caller builds its own CFG and lists its own conservation
+        // sites, in symbol order.
+        let conserved: Vec<ConservedCaller> = symbols
+            .iter()
+            .filter_map(|(id, caller)| {
+                counts_arcs(caller.addr())?;
+                let cfg = build_cfg(&exe, id).ok()?; // unreachable: text verified
+                let mut sites = Vec::new();
+                for (bid, block) in cfg.iter() {
+                    if !cfg.executes_once_per_activation(bid) {
+                        continue;
+                    }
+                    for &(addr, inst) in block.insts() {
+                        let Instruction::Call(target) = inst else { continue };
+                        let Some(callee) = counts_arcs(target) else { continue };
+                        let site = addr.offset(encoded_len(inst));
+                        sites.push((site, target, callee.name().to_string()));
+                    }
                 }
-                for &(addr, inst) in block.insts() {
-                    let Instruction::Call(target) = inst else { continue };
-                    let Some(callee) = counts_arcs(target) else { continue };
-                    sites.push((addr.offset(encoded_len(inst)), target, callee.name().to_string()));
-                }
-            }
-            (!sites.is_empty()).then(|| ConservedCaller {
-                entry: caller.addr(),
-                name: caller.name().to_string(),
-                sites,
+                (!sites.is_empty()).then(|| ConservedCaller {
+                    entry: caller.addr(),
+                    name: caller.name().to_string(),
+                    sites,
+                })
             })
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+            .collect();
 
-        if let Ok(resolution) = resolve_indirect_calls_jobs(&exe, jobs) {
+        if let Ok(resolution) = resolve_indirect_calls(&exe) {
             for site in &resolution.unresolved {
                 static_findings
                     .push(CheckFinding::UnresolvedIndirectCall { at: site.at, slot: site.slot });
             }
         }
 
-        let graph = ProgramGraph::build_jobs(&exe, jobs).ok();
+        let graph = ProgramGraph::build(&exe).ok();
         ProfileChecker {
             exe,
             text_ok,

@@ -25,9 +25,7 @@
 
 use std::collections::VecDeque;
 
-use graphprof_machine::{
-    encoded_len, Addr, DecodeError, Executable, Instruction, SymbolId, NUM_SLOTS,
-};
+use graphprof_machine::{encoded_len, Addr, DecodeError, Executable, Instruction, NUM_SLOTS};
 
 use crate::cfg::{build_cfg, Cfg};
 
@@ -245,58 +243,28 @@ fn clobber(state: &mut SlotState, mask: u16, summary: &SlotState) {
 /// Resolves every `calli` site in the executable that provably reaches a
 /// single callee, and explains every one that does not.
 ///
-/// # Errors
-///
-/// Returns a [`DecodeError`] if any routine's text is malformed.
-pub fn resolve_indirect_calls(exe: &Executable) -> Result<IndirectResolution, DecodeError> {
-    resolve_indirect_calls_jobs(exe, 1)
-}
-
-/// [`resolve_indirect_calls`] with an explicit worker count.
-///
-/// Routines are independent dataflow units: disassembly + CFG
-/// construction and the per-routine fixpoint both fan out over `jobs`
-/// workers. Per-routine results are concatenated in routine (address)
-/// order and then sorted by site address exactly as the serial pass
-/// does, so the output is identical for every `jobs` value.
+/// Routines are disassembled and analyzed in address order, and the
+/// sites are then sorted by address.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] if any routine's text is malformed; with
-/// several malformed routines the lowest-addressed one wins, matching
-/// the serial scan order.
-pub fn resolve_indirect_calls_jobs(
-    exe: &Executable,
-    jobs: usize,
-) -> Result<IndirectResolution, DecodeError> {
+/// several malformed routines the lowest-addressed one wins.
+pub fn resolve_indirect_calls(exe: &Executable) -> Result<IndirectResolution, DecodeError> {
     let symbols = exe.symbols();
-    let ids: Vec<SymbolId> = symbols.iter().map(|(id, _)| id).collect();
-    let per_routine = graphprof_exec::try_parallel_map(jobs, &ids, |_, &id| {
-        Ok((exe.disassemble_symbol(id)?, build_cfg(exe, id)?))
-    })?;
+    let per_routine = symbols
+        .iter()
+        .map(|(id, _)| Ok((exe.disassemble_symbol(id)?, build_cfg(exe, id)?)))
+        .collect::<Result<Vec<_>, DecodeError>>()?;
     let (disasm, cfgs): (Vec<Vec<(Addr, Instruction)>>, Vec<Cfg>) = per_routine.into_iter().unzip();
     let facts = gather_global_facts(exe, &disasm);
     let maywrite = may_write_closure(&facts);
     let indirect_mask =
         (0..symbols.len()).filter(|&r| facts.address_taken[r]).fold(0u16, |m, r| m | maywrite[r]);
 
-    let partials = graphprof_exec::parallel_map(jobs, &cfgs, |r, cfg| {
-        let mut local = IndirectResolution::default();
-        analyze_routine(
-            cfg,
-            &facts,
-            &maywrite,
-            indirect_mask,
-            symbols_len_lookup(exe),
-            r,
-            &mut local,
-        );
-        local
-    });
     let mut out = IndirectResolution::default();
-    for partial in partials {
-        out.resolved.extend(partial.resolved);
-        out.unresolved.extend(partial.unresolved);
+    for cfg in &cfgs {
+        analyze_routine(cfg, &facts, &maywrite, indirect_mask, symbols_len_lookup(exe), &mut out);
     }
     out.resolved.sort_by_key(|site| site.at);
     out.unresolved.sort_by_key(|site| site.at);
@@ -318,7 +286,6 @@ fn analyze_routine(
     maywrite: &[u16],
     indirect_mask: u16,
     callee_index: impl Fn(Addr) -> Option<usize>,
-    _routine: usize,
     out: &mut IndirectResolution,
 ) {
     let Some(entry) = cfg.entry() else { return };
@@ -554,29 +521,6 @@ mod tests {
         assert_eq!(arcs.len(), 1);
         assert_eq!(arcs[0].0, res.resolved[0].at.offset(2));
         assert_eq!(arcs[0].1, entry_of(&exe, "hidden"));
-    }
-
-    #[test]
-    fn parallel_resolution_matches_serial_exactly() {
-        // A program wide enough that jobs=8 actually distributes work:
-        // every routine stores and calls through its own slot, plus a
-        // couple of deliberately conflicting sites.
-        let mut src = String::from("routine main {");
-        for i in 0..8 {
-            src.push_str(&format!(" setslot {i}, t{i} calli {i}"));
-        }
-        src.push_str(" setslot 0, t1 call other }\n");
-        src.push_str("routine other { calli 0 }\n");
-        for i in 0..8 {
-            src.push_str(&format!("routine t{i} {{ work {} }}\n", i + 1));
-        }
-        let exe = compile(&src);
-        let serial = resolve_indirect_calls_jobs(&exe, 1).unwrap();
-        let parallel = resolve_indirect_calls_jobs(&exe, 8).unwrap();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, resolve_indirect_calls(&exe).unwrap());
-        assert!(!serial.resolved.is_empty());
-        assert!(!serial.unresolved.is_empty());
     }
 
     #[test]

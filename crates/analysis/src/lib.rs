@@ -43,13 +43,13 @@ pub mod lint;
 pub mod report;
 pub mod rules;
 
-pub use callgraph_analysis::{analyze_profile, analyze_profile_jobs, ProgramGraph};
+pub use callgraph_analysis::{analyze_profile, ProgramGraph};
 pub use cfg::{build_cfg, BasicBlock, BlockId, Cfg};
 pub use checker::ProfileChecker;
 pub use dataflow::{
-    resolve_indirect_calls, resolve_indirect_calls_jobs, IndirectResolution, ResolvedIndirect,
-    SlotState, SlotValue, UnresolvedIndirect, UnresolvedReason,
+    resolve_indirect_calls, IndirectResolution, ResolvedIndirect, SlotState, SlotValue,
+    UnresolvedIndirect, UnresolvedReason,
 };
-pub use lint::{check_profile, check_profile_jobs, CheckFinding};
+pub use lint::{check_profile, CheckFinding};
 pub use report::AnalyzeReport;
 pub use rules::{Action, Rule, RuleConfig, Severity, UnknownRule, RULES};

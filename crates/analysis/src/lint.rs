@@ -283,8 +283,7 @@ impl fmt::Display for CheckFinding {
 /// Orders findings deterministically: global findings (no meaningful
 /// address) first, then by (routine/site address, code, message). This
 /// is the `graphprof check`/`analyze` output contract — the order is a
-/// property of the findings, never of the worker count or the
-/// discovery path.
+/// property of the findings, never of the discovery path.
 pub(crate) fn sort_findings(findings: &mut [CheckFinding], exe: &Executable) {
     let symbols = exe.symbols();
     let entry_of = |name: &str| symbols.by_name(name).map_or(Addr::NULL, |(_, s)| s.addr());
@@ -319,17 +318,7 @@ pub(crate) fn has_profiling_prologue(insts: &[(Addr, Instruction)]) -> bool {
 /// order — findings without a meaningful address sort first; an empty
 /// vector means the profile is consistent.
 pub fn check_profile(exe: &Executable, gmon: &GmonData) -> Vec<CheckFinding> {
-    check_profile_jobs(exe, gmon, 1)
-}
-
-/// [`check_profile`] with an explicit worker count.
-///
-/// Disassembly, the per-caller call-count-conservation check, and the
-/// indirect-call dataflow all fan out over `jobs` workers; per-routine
-/// findings are reassembled in routine order, so the finding list is
-/// identical for every `jobs` value.
-pub fn check_profile_jobs(exe: &Executable, gmon: &GmonData, jobs: usize) -> Vec<CheckFinding> {
-    crate::checker::ProfileChecker::build_jobs(exe, jobs).check(gmon)
+    crate::checker::ProfileChecker::build(exe).check(gmon)
 }
 
 #[cfg(test)]
@@ -507,30 +496,6 @@ mod tests {
             !findings.iter().any(|f| matches!(f, CheckFinding::UnresolvedIndirectCall { .. })),
             "{findings:?}"
         );
-    }
-
-    #[test]
-    fn parallel_check_matches_serial_exactly() {
-        // Corrupt a profile several ways at once so the finding list is
-        // long enough to expose any ordering difference between worker
-        // counts.
-        let (exe, gmon) = profile(
-            "routine main { work 10 call a call b setslot 0, a setslot 0, b call flip }
-             routine flip { calli 0 }
-             routine a { work 20 call b }
-             routine b { work 5 }
-             routine island { work 5 }",
-        );
-        let mut arcs: Vec<RawArc> = gmon.arcs().to_vec();
-        let a = exe.symbols().by_name("a").unwrap().1.addr();
-        arcs.iter_mut().find(|x| x.self_pc == a && !x.from_pc.is_null()).unwrap().count += 7;
-        arcs.push(RawArc { from_pc: Addr::NULL, self_pc: exe.end().offset(0x40), count: 1 });
-        let corrupted = GmonData::new(gmon.cycles_per_tick(), gmon.histogram().clone(), arcs);
-        let serial = check_profile_jobs(&exe, &corrupted, 1);
-        let parallel = check_profile_jobs(&exe, &corrupted, 8);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, check_profile(&exe, &corrupted));
-        assert!(serial.len() >= 3, "{serial:?}");
     }
 
     #[test]

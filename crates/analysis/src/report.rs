@@ -38,7 +38,7 @@
 use graphprof_machine::Executable;
 use graphprof_monitor::GmonData;
 
-use crate::callgraph_analysis::analyze_profile_jobs;
+use crate::callgraph_analysis::analyze_profile;
 use crate::json::Value;
 use crate::lint::CheckFinding;
 use crate::rules::{Action, RuleConfig};
@@ -67,10 +67,9 @@ pub struct AnalyzeReport {
 
 impl AnalyzeReport {
     /// Runs the whole-program analyzer and resolves every finding
-    /// against `config`. The report is identical for every `jobs`
-    /// value.
-    pub fn build(exe: &Executable, gmon: &GmonData, jobs: usize, config: &RuleConfig) -> Self {
-        let findings = analyze_profile_jobs(exe, gmon, jobs);
+    /// against `config`.
+    pub fn build(exe: &Executable, gmon: &GmonData, config: &RuleConfig) -> Self {
+        let findings = analyze_profile(exe, gmon);
         let mut report = AnalyzeReport {
             findings: Vec::with_capacity(findings.len()),
             denied: 0,
@@ -184,7 +183,7 @@ mod tests {
     #[test]
     fn default_config_denies_errors_and_warns_warnings() {
         let (exe, gmon) = corrupted();
-        let report = AnalyzeReport::build(&exe, &gmon, 1, &RuleConfig::new());
+        let report = AnalyzeReport::build(&exe, &gmon, &RuleConfig::new());
         assert!(report.denied >= 1, "{report:?}");
         assert!(report.warned >= 1, "{report:?}"); // the island is unreachable
         assert!(!report.is_clean());
@@ -200,7 +199,7 @@ mod tests {
         let (exe, gmon) = corrupted();
         let mut config = RuleConfig::new();
         config.set_all(Action::Allow);
-        let report = AnalyzeReport::build(&exe, &gmon, 1, &config);
+        let report = AnalyzeReport::build(&exe, &gmon, &config);
         assert!(report.is_clean());
         assert_eq!(report.denied, 0);
         assert!(report.allowed >= 2, "{report:?}");
@@ -210,7 +209,7 @@ mod tests {
     #[test]
     fn json_round_trips_and_matches_the_schema() {
         let (exe, gmon) = corrupted();
-        let report = AnalyzeReport::build(&exe, &gmon, 1, &RuleConfig::new());
+        let report = AnalyzeReport::build(&exe, &gmon, &RuleConfig::new());
         let value = report.to_json("prog.gpx", "gmon.out");
         let text = value.to_pretty();
         let reparsed = json::parse(&text).unwrap();
@@ -236,7 +235,7 @@ mod tests {
     #[test]
     fn clean_profile_renders_a_clean_report() {
         let (exe, gmon) = profile("routine main { work 10 call a } routine a { work 5 }");
-        let report = AnalyzeReport::build(&exe, &gmon, 1, &RuleConfig::new());
+        let report = AnalyzeReport::build(&exe, &gmon, &RuleConfig::new());
         assert!(report.is_clean());
         assert_eq!(report.findings.len(), 0, "{report:?}");
         assert_eq!(report.exit_code(), 0);

@@ -135,8 +135,8 @@ fn measure_delta_wire() -> Result<(usize, usize, usize), String> {
             .map_err(|e| format!("encoding frame: {e}"))
     };
 
-    let full_store = SeriesStore::new(exe.clone(), 8, 1);
-    let delta_store = SeriesStore::new(exe.clone(), 8, 1);
+    let full_store = SeriesStore::new(exe.clone(), 8);
+    let delta_store = SeriesStore::new(exe.clone(), 8);
     let mut full_wire = 0usize;
     let mut delta_wire = 0usize;
     let mut prev: Option<GmonData> = None;

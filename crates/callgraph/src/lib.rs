@@ -30,6 +30,6 @@ pub use graph::{Arc, ArcId, CallGraph, NodeId};
 pub use propagate::{propagate, propagate_jobs, Propagation};
 pub use static_graph::{
     discover_arcs_with_indirect, discover_arcs_with_indirect_jobs, discover_static_arcs,
-    discover_static_arcs_jobs, ArcDiscovery,
+    ArcDiscovery,
 };
 pub use tarjan::{CompId, SccResult};

@@ -118,80 +118,6 @@ impl Propagation {
 /// Panics if `self_times.len()` differs from the graph's node count or if
 /// `scc` was computed for a different graph shape.
 pub fn propagate(graph: &CallGraph, scc: &SccResult, self_times: &[f64]) -> Propagation {
-    propagate_jobs(graph, scc, self_times, 1)
-}
-
-/// One component's contribution to the propagation, computed in
-/// isolation: all the writes its evaluation would make, recorded in the
-/// exact order the serial pass makes them.
-struct CompUpdate {
-    /// `(arc index, self flow, desc flow)` for every propagating arc.
-    arc_flows: Vec<(usize, f64, f64)>,
-    /// `(node index, descendant add)` — one entry per member that
-    /// received any flow, accumulated in arc order.
-    node_desc: Vec<(usize, f64)>,
-    /// The component's own accumulated descendant time.
-    comp_desc: f64,
-}
-
-/// Evaluates one component against finalized callee totals. The
-/// iteration order (members in order, out-arcs in order) and the
-/// accumulation order are exactly the serial pass's, so every f64 here
-/// is bit-identical to what the serial pass would have produced.
-fn eval_comp(graph: &CallGraph, scc: &SccResult, p: &Propagation, comp: CompId) -> CompUpdate {
-    let mut up = CompUpdate { arc_flows: Vec::new(), node_desc: Vec::new(), comp_desc: 0.0 };
-    for &member in scc.members(comp) {
-        let mut member_desc = 0.0;
-        for &arc_id in graph.out_arcs(member) {
-            let arc = graph.arc(arc_id);
-            let callee_comp = scc.comp(arc.to);
-            if callee_comp == comp {
-                continue; // intra-cycle or self arc: listed, never propagated
-            }
-            debug_assert!(
-                callee_comp < comp,
-                "topological order violated: {callee_comp} not before {comp}"
-            );
-            let denom = p.external_calls_into[callee_comp.index()];
-            if denom == 0 || arc.count == 0 {
-                continue; // static-only arcs never carry time (§4)
-            }
-            let fraction = arc.count as f64 / denom as f64;
-            let self_flow = p.comp_self[callee_comp.index()] * fraction;
-            let desc_flow = p.comp_desc[callee_comp.index()] * fraction;
-            up.arc_flows.push((arc_id.index(), self_flow, desc_flow));
-            member_desc += self_flow + desc_flow;
-            up.comp_desc += self_flow + desc_flow;
-        }
-        if member_desc != 0.0 {
-            up.node_desc.push((member.index(), member_desc));
-        }
-    }
-    up
-}
-
-/// [`propagate`] with an explicit worker count.
-///
-/// The condensed component DAG is scheduled by topological level: a
-/// component's level is one more than the deepest component it calls
-/// into, so all its callees are finalized before it is evaluated.
-/// Components within a level are independent — they share no nodes, no
-/// arcs, and read only lower-level totals — and are evaluated
-/// concurrently, each producing a [`CompUpdate`] that is applied back in
-/// component (pop) order. Every per-component evaluation preserves the
-/// serial pass's member/arc iteration and f64 accumulation order, so the
-/// result is bit-identical for every `jobs` value.
-///
-/// # Panics
-///
-/// Panics if `self_times.len()` differs from the graph's node count or if
-/// `scc` was computed for a different graph shape.
-pub fn propagate_jobs(
-    graph: &CallGraph,
-    scc: &SccResult,
-    self_times: &[f64],
-    jobs: usize,
-) -> Propagation {
     assert_eq!(self_times.len(), graph.node_count(), "one self time per node required");
     let n_comps = scc.comp_count();
     let mut p = Propagation {
@@ -213,59 +139,53 @@ pub fn propagate_jobs(
         }
     }
 
-    if jobs <= 1 {
-        // Pop order: every inter-component arc target is finalized before
-        // its source component is visited.
-        for comp in scc.comps() {
-            let up = eval_comp(graph, scc, &p, comp);
-            apply_update(&mut p, comp, up);
-        }
-        return p;
-    }
-
-    // Topological levels over the condensed DAG. Pop order guarantees a
-    // component's callees precede it, so one forward sweep suffices.
-    let mut level = vec![0usize; n_comps];
-    let mut max_level = 0;
+    // Pop order: every inter-component arc target is finalized before
+    // its source component is visited.
     for comp in scc.comps() {
-        let mut l = 0;
+        let mut comp_desc = 0.0;
         for &member in scc.members(comp) {
+            let mut member_desc = 0.0;
             for &arc_id in graph.out_arcs(member) {
-                let callee_comp = scc.comp(graph.arc(arc_id).to);
-                if callee_comp != comp {
-                    l = l.max(level[callee_comp.index()] + 1);
+                let arc = graph.arc(arc_id);
+                let callee_comp = scc.comp(arc.to);
+                if callee_comp == comp {
+                    continue; // intra-cycle or self arc: listed, never propagated
                 }
+                debug_assert!(
+                    callee_comp < comp,
+                    "topological order violated: {callee_comp} not before {comp}"
+                );
+                let denom = p.external_calls_into[callee_comp.index()];
+                if denom == 0 || arc.count == 0 {
+                    continue; // static-only arcs never carry time (§4)
+                }
+                let fraction = arc.count as f64 / denom as f64;
+                let self_flow = p.comp_self[callee_comp.index()] * fraction;
+                let desc_flow = p.comp_desc[callee_comp.index()] * fraction;
+                p.arc_self_flow[arc_id.index()] = self_flow;
+                p.arc_desc_flow[arc_id.index()] = desc_flow;
+                member_desc += self_flow + desc_flow;
+                comp_desc += self_flow + desc_flow;
+            }
+            if member_desc != 0.0 {
+                p.node_desc[member.index()] += member_desc;
             }
         }
-        level[comp.index()] = l;
-        max_level = max_level.max(l);
-    }
-    let mut waves: Vec<Vec<CompId>> = vec![Vec::new(); max_level + 1];
-    for comp in scc.comps() {
-        waves[level[comp.index()]].push(comp);
-    }
-    for wave in waves {
-        let updates =
-            graphprof_exec::parallel_map(jobs, &wave, |_, &comp| eval_comp(graph, scc, &p, comp));
-        for (&comp, up) in wave.iter().zip(updates) {
-            apply_update(&mut p, comp, up);
-        }
+        p.comp_desc[comp.index()] += comp_desc;
     }
     p
 }
 
-/// Writes one component's finished evaluation into the shared result.
-/// Targets are disjoint across components, so apply order only matters
-/// for readability; within a component the order matches the serial pass.
-fn apply_update(p: &mut Propagation, comp: CompId, up: CompUpdate) {
-    for (arc, self_flow, desc_flow) in up.arc_flows {
-        p.arc_self_flow[arc] = self_flow;
-        p.arc_desc_flow[arc] = desc_flow;
-    }
-    for (node, desc) in up.node_desc {
-        p.node_desc[node] += desc;
-    }
-    p.comp_desc[comp.index()] += up.comp_desc;
+/// [`propagate`]. `jobs` is ignored: propagation is serial. Kept so
+/// existing callers still compile.
+#[doc(hidden)]
+pub fn propagate_jobs(
+    graph: &CallGraph,
+    scc: &SccResult,
+    self_times: &[f64],
+    _jobs: usize,
+) -> Propagation {
+    propagate(graph, scc, self_times)
 }
 
 #[cfg(test)]
@@ -443,39 +363,6 @@ mod tests {
         assert!((p.node_total(b) - 25.0).abs() < 1e-9);
         assert!((p.node_total(c) - 75.0).abs() < 1e-9);
         assert!((p.node_total(a) - 100.0).abs() < 1e-9);
-    }
-
-    /// Bitwise equality over every field, including the f64 vectors.
-    fn assert_bit_identical(a: &Propagation, b: &Propagation) {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.node_self), bits(&b.node_self));
-        assert_eq!(bits(&a.node_desc), bits(&b.node_desc));
-        assert_eq!(bits(&a.comp_self), bits(&b.comp_self));
-        assert_eq!(bits(&a.comp_desc), bits(&b.comp_desc));
-        assert_eq!(bits(&a.arc_self_flow), bits(&b.arc_self_flow));
-        assert_eq!(bits(&a.arc_desc_flow), bits(&b.arc_desc_flow));
-        assert_eq!(a.external_calls_into, b.external_calls_into);
-    }
-
-    #[test]
-    fn level_parallel_propagation_is_bit_identical() {
-        // A layered DAG with a cycle in the middle and awkward (hard to
-        // reassociate) self times: the exact f64s must survive any
-        // worker count.
-        let names: Vec<String> = (0..24).map(|i| format!("f{i}")).collect();
-        let mut g = CallGraph::with_nodes(names);
-        for i in 0..18u32 {
-            g.add_arc(NodeId::new(i), NodeId::new(i + 3), u64::from(i % 5 + 1));
-            g.add_arc(NodeId::new(i), NodeId::new(i + 6), u64::from(i % 3 + 1));
-        }
-        g.add_arc(NodeId::new(10), NodeId::new(4), 2); // cycle 4..=10
-        let times: Vec<f64> = (0..24).map(|i| 1.0 / f64::from(3 * i + 1)).collect();
-        let scc = SccResult::analyze(&g);
-        let serial = propagate_jobs(&g, &scc, &times, 1);
-        for jobs in [2, 4, 8] {
-            assert_bit_identical(&serial, &propagate_jobs(&g, &scc, &times, jobs));
-        }
-        assert_bit_identical(&serial, &propagate(&g, &scc, &times));
     }
 
     #[test]

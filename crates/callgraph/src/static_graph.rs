@@ -22,7 +22,7 @@
 //! call site whose slot provably holds a single routine, reporting the
 //! sites it still cannot see through.
 
-use graphprof_analysis::{resolve_indirect_calls_jobs, UnresolvedIndirect};
+use graphprof_analysis::{resolve_indirect_calls, UnresolvedIndirect};
 use graphprof_machine::{encoded_len, Addr, DecodeError, Executable};
 
 /// A statically apparent call: `(return_address, callee_entry)`.
@@ -42,39 +42,18 @@ pub type StaticArc = (Addr, Addr);
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] if the text segment is malformed.
-pub fn discover_static_arcs(exe: &Executable) -> Result<Vec<StaticArc>, DecodeError> {
-    discover_static_arcs_jobs(exe, 1)
-}
-
-/// [`discover_static_arcs`] with an explicit worker count.
-///
-/// Each routine's crawl is independent, so the disassembly fans out over
-/// `jobs` workers; per-routine arc lists are concatenated in symbol
-/// (address) order, which preserves the strictly-increasing
-/// return-address contract verbatim — the output is identical for every
-/// `jobs` value.
-///
-/// # Errors
-///
 /// Returns a [`DecodeError`] if the text segment is malformed; with
-/// several malformed routines the lowest-addressed one wins, matching
-/// the serial crawl order.
-pub fn discover_static_arcs_jobs(
-    exe: &Executable,
-    jobs: usize,
-) -> Result<Vec<StaticArc>, DecodeError> {
-    let ids: Vec<_> = exe.symbols().iter().map(|(id, _)| id).collect();
-    let per_routine = graphprof_exec::try_parallel_map(jobs, &ids, |_, &id| {
-        let mut arcs = Vec::new();
+/// several malformed routines the lowest-addressed one wins.
+pub fn discover_static_arcs(exe: &Executable) -> Result<Vec<StaticArc>, DecodeError> {
+    let mut arcs = Vec::new();
+    for (id, _) in exe.symbols().iter() {
         for (addr, inst) in exe.disassemble_symbol(id)? {
             if let Some(target) = inst.direct_call_target() {
                 arcs.push((addr.offset(encoded_len(inst)), target));
             }
         }
-        Ok(arcs)
-    })?;
-    Ok(per_routine.into_iter().flatten().collect())
+    }
+    Ok(arcs)
 }
 
 /// Statically discovered arcs with the indirect blind spot narrowed.
@@ -100,25 +79,21 @@ pub struct ArcDiscovery {
 ///
 /// Returns a [`DecodeError`] if the text segment is malformed.
 pub fn discover_arcs_with_indirect(exe: &Executable) -> Result<ArcDiscovery, DecodeError> {
-    discover_arcs_with_indirect_jobs(exe, 1)
-}
-
-/// [`discover_arcs_with_indirect`] with an explicit worker count, fanned
-/// out over both the direct crawl and the slot dataflow. Byte-identical
-/// to the serial pass for every `jobs` value.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] if the text segment is malformed.
-pub fn discover_arcs_with_indirect_jobs(
-    exe: &Executable,
-    jobs: usize,
-) -> Result<ArcDiscovery, DecodeError> {
-    let mut arcs = discover_static_arcs_jobs(exe, jobs)?;
-    let resolution = resolve_indirect_calls_jobs(exe, jobs)?;
+    let mut arcs = discover_static_arcs(exe)?;
+    let resolution = resolve_indirect_calls(exe)?;
     arcs.extend(resolution.static_arcs());
     arcs.sort_unstable();
     Ok(ArcDiscovery { arcs, unresolved: resolution.unresolved })
+}
+
+/// [`discover_arcs_with_indirect`]. `jobs` is ignored: discovery is
+/// serial. Kept so existing callers still compile.
+#[doc(hidden)]
+pub fn discover_arcs_with_indirect_jobs(
+    exe: &Executable,
+    _jobs: usize,
+) -> Result<ArcDiscovery, DecodeError> {
+    discover_arcs_with_indirect(exe)
 }
 
 #[cfg(test)]
@@ -244,38 +219,6 @@ mod tests {
         for pair in arcs.windows(2) {
             assert!(pair[0].0 < pair[1].0);
         }
-    }
-
-    #[test]
-    fn parallel_discovery_matches_serial_exactly() {
-        let mut src = String::from("routine main {");
-        for i in 0..10 {
-            src.push_str(&format!(" call r{i}"));
-        }
-        src.push_str(" setslot 0, hidden calli 0 setslot 1, a setslot 1, b call flip }\n");
-        for i in 0..10 {
-            src.push_str(&format!("routine r{i} {{ call a work {} }}\n", i + 1));
-        }
-        src.push_str(
-            "routine flip { calli 1 }
-             routine a { work 1 }
-             routine b { work 1 }
-             routine hidden { work 1 }",
-        );
-        let exe = compile(&src);
-        assert_eq!(
-            discover_static_arcs_jobs(&exe, 1).unwrap(),
-            discover_static_arcs(&exe).unwrap()
-        );
-        assert_eq!(
-            discover_static_arcs_jobs(&exe, 1).unwrap(),
-            discover_static_arcs_jobs(&exe, 8).unwrap()
-        );
-        let serial = discover_arcs_with_indirect_jobs(&exe, 1).unwrap();
-        assert_eq!(serial, discover_arcs_with_indirect_jobs(&exe, 8).unwrap());
-        assert_eq!(serial, discover_arcs_with_indirect(&exe).unwrap());
-        assert!(serial.arcs.len() > 11);
-        assert_eq!(serial.unresolved.len(), 1);
     }
 
     mod generated {

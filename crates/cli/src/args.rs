@@ -110,56 +110,12 @@ impl Args {
     }
 }
 
-/// Rewrites the conventional `-j` worker-count shorthand into the long
-/// `--jobs` form this parser understands: `-j 4` becomes `--jobs 4` and
-/// `-j4` becomes `--jobs=4`. Anything after a `--` terminator is left
-/// untouched, as are `-j` suffixes that are not plain numbers.
-pub fn normalize_jobs_shorthand(argv: &[String]) -> Vec<String> {
-    let mut only_positionals = false;
-    argv.iter()
-        .map(|arg| {
-            if only_positionals {
-                return arg.clone();
-            }
-            if arg == "--" {
-                only_positionals = true;
-                return arg.clone();
-            }
-            if arg == "-j" {
-                return "--jobs".to_string();
-            }
-            if let Some(rest) = arg.strip_prefix("-j") {
-                if !rest.is_empty() && rest.chars().all(|c| c.is_ascii_digit()) {
-                    return format!("--jobs={rest}");
-                }
-            }
-            arg.clone()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn jobs_shorthand_normalizes() {
-        let normalized = normalize_jobs_shorthand(&argv(&["-j", "4", "-j8", "a.gpx"]));
-        assert_eq!(normalized, ["--jobs", "4", "--jobs=8", "a.gpx"]);
-        let args = Args::parse(&normalized, &["jobs"], &[]).unwrap();
-        assert_eq!(args.values("jobs"), ["4", "8"]);
-        assert_eq!(args.int_value("jobs").unwrap(), Some(8));
-        assert_eq!(args.positionals(), ["a.gpx"]);
-    }
-
-    #[test]
-    fn jobs_shorthand_leaves_other_arguments_alone() {
-        let normalized = normalize_jobs_shorthand(&argv(&["-jx", "--", "-j4"]));
-        assert_eq!(normalized, ["-jx", "--", "-j4"]);
     }
 
     #[test]

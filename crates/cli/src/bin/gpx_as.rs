@@ -1,7 +1,7 @@
 //! The assembler: source text → executable, optionally instrumented
 //! (`--instrument gprof` is this toolchain's `cc -pg`).
 
-use graphprof_cli::{assemble, Args, CliError};
+use graphprof_cli::{assemble, exit_with, Args};
 
 const USAGE: &str = "gpx-as <input.s> [--out file.gpx] \
                      [--instrument none|gprof|prof] [--base ADDR] \
@@ -11,15 +11,5 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = Args::parse(&argv, &["out", "instrument", "base", "only", "except"], &[])
         .and_then(|args| assemble(&args));
-    match result {
-        Ok(summary) => println!("{summary}"),
-        Err(CliError::Usage(msg)) => {
-            eprintln!("{msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("gpx-as: {e}");
-            std::process::exit(1);
-        }
-    }
+    exit_with("gpx-as", USAGE, result.map(|summary| (format!("{summary}\n"), 0)))
 }

@@ -1,21 +1,11 @@
 //! The disassembler: a symbol-annotated listing of an executable's text.
 
-use graphprof_cli::{disassemble, Args, CliError};
+use graphprof_cli::{disassemble, exit_with, Args};
 
 const USAGE: &str = "gpx-dis <prog.gpx>";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = Args::parse(&argv, &[], &[]).and_then(|args| disassemble(&args));
-    match result {
-        Ok(listing) => print!("{listing}"),
-        Err(CliError::Usage(msg)) => {
-            eprintln!("{msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("gpx-dis: {e}");
-            std::process::exit(1);
-        }
-    }
+    exit_with("gpx-dis", USAGE, result.map(|listing| (listing, 0)))
 }

@@ -2,31 +2,19 @@
 //! program counter and recording call graph arcs, and condenses the
 //! profile to a gmon file at exit.
 
-use graphprof_cli::args::normalize_jobs_shorthand;
-use graphprof_cli::{run, Args, CliError};
+use graphprof_cli::{exit_with, run, Args};
 
 const USAGE: &str = "gpx-run <prog.gpx> [--profile gmon.out] [--tick N] \
                      [--shift N] [--max-cycles N] [--monitor-only routine] [--no-profile] \
-                     [--jobs N] [--tick-batch N]";
+                     [--tick-batch N]";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let argv = normalize_jobs_shorthand(&argv);
     let result = Args::parse(
         &argv,
-        &["profile", "tick", "shift", "max-cycles", "monitor-only", "jobs", "tick-batch"],
+        &["profile", "tick", "shift", "max-cycles", "monitor-only", "tick-batch"],
         &["no-profile"],
     )
     .and_then(|args| run(&args));
-    match result {
-        Ok(summary) => println!("{summary}"),
-        Err(CliError::Usage(msg)) => {
-            eprintln!("{msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("gpx-run: {e}");
-            std::process::exit(1);
-        }
-    }
+    exit_with("gpx-run", USAGE, result.map(|summary| (format!("{summary}\n"), 0)))
 }

@@ -1,7 +1,7 @@
 //! The data-plane uploader: ships `gmon.out` files into a running
 //! `graphprof serve` instance's named series.
 
-use graphprof_cli::{send, Args, CliError};
+use graphprof_cli::{exit_with, send, Args};
 
 const USAGE: &str = "gpx-send <gmon...> --series NAME [--addr HOST:PORT] \
                      [--seq-start N] [--delta] [--timeout-ms N] [--retries N] [--retry-base-ms N]";
@@ -14,15 +14,5 @@ fn main() {
         &["delta"],
     )
     .and_then(|args| send(&args));
-    match result {
-        Ok(output) => print!("{output}"),
-        Err(CliError::Usage(msg)) => {
-            eprintln!("{msg}\n{USAGE}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("gpx-send: {e}");
-            std::process::exit(1);
-        }
-    }
+    exit_with("gpx-send", USAGE, result.map(|output| (output, 0)))
 }

@@ -3,7 +3,7 @@
 use std::fs;
 use std::path::Path;
 
-use graphprof::{Filter, Gprof, Options};
+use graphprof::{AnalyzeError, Filter, Gprof, Options};
 use graphprof_machine::{
     asm, disasm, objfile, CompileError, CompileOptions, Instrumentation, Machine, MachineConfig,
     ProfileSelection, RunStatus,
@@ -42,13 +42,6 @@ pub(crate) fn load_executable(path: &str) -> Result<graphprof_machine::Executabl
 
 fn comma_list(value: &str) -> Vec<String> {
     value.split(',').map(str::trim).filter(|s| !s.is_empty()).map(str::to_string).collect()
-}
-
-/// Resolves the worker count for a command: `--jobs N` (or `-j N`) wins,
-/// then `GRAPHPROF_JOBS`, then the machine's available parallelism.
-/// Always at least 1; `--jobs 1` forces every stage onto the serial path.
-fn resolve_jobs(args: &Args) -> Result<usize, CliError> {
-    Ok(graphprof::exec::resolve_jobs(args.int_value("jobs")?.map(|n| n as usize)))
 }
 
 /// Whether a pattern uses the `*`/`?` glob syntax [`glob_matches`]
@@ -215,7 +208,7 @@ pub fn assemble(args: &Args) -> Result<String, CliError> {
 }
 
 /// `gpx-run <prog.gpx> [--profile gmon.out] [--tick N] [--shift N]
-/// [--max-cycles N] [--monitor-only routine] [--no-profile] [--jobs N]
+/// [--max-cycles N] [--monitor-only routine] [--no-profile]
 /// [--tick-batch N]`
 ///
 /// Runs an executable under the monitoring runtime and condenses the
@@ -245,9 +238,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let config = MachineConfig {
         cycles_per_tick: if profiling { tick } else { 0 },
         collect_ground_truth: false,
-        // `--jobs` drives the predecode sweep; execution itself is
-        // bit-identical at any setting (including `-j 1`'s serial sweep).
-        predecode_jobs: resolve_jobs(args)?,
         tick_batch: args.int_value("tick-batch")?.map_or(default_config.tick_batch, |n| n as usize),
         ..default_config
     };
@@ -315,7 +305,7 @@ impl CheckReport {
     }
 }
 
-/// `graphprof check <prog.gpx> <gmon.out> [--jobs N] [--salvage]`
+/// `graphprof check <prog.gpx> <gmon.out> [--salvage]`
 ///
 /// Cross-checks a profile against its executable: executable
 /// verification, arc call-sites and callees, histogram geometry,
@@ -355,7 +345,7 @@ pub fn check(args: &Args) -> Result<CheckReport, CliError> {
         Gmon::from_bytes(&gmon_bytes)?
     };
 
-    let findings = graphprof_analysis::check_profile_jobs(&exe, &gmon, resolve_jobs(args)?);
+    let findings = graphprof_analysis::check_profile(&exe, &gmon);
     let (mut errors, mut warnings) = (0usize, 0usize);
     for finding in &findings {
         if finding.is_error() {
@@ -418,8 +408,8 @@ fn rule_config(args: &Args) -> Result<graphprof_analysis::RuleConfig, CliError> 
     Ok(config)
 }
 
-/// `graphprof analyze <prog.gpx> <gmon.out> [--jobs N] [--salvage]
-/// [--deny CODES] [--warn CODES] [--allow CODES] [--json FILE]`
+/// `graphprof analyze <prog.gpx> <gmon.out> [--salvage] [--deny CODES]
+/// [--warn CODES] [--allow CODES] [--json FILE]`
 ///
 /// Everything `graphprof check` verifies, plus the whole-program
 /// call-graph analysis: the static call graph (crawled arcs ∪
@@ -459,8 +449,7 @@ pub fn analyze(args: &Args) -> Result<AnalyzeOutcome, CliError> {
         Gmon::from_bytes(&gmon_bytes)?
     };
 
-    let report =
-        graphprof_analysis::AnalyzeReport::build(&exe, &gmon, resolve_jobs(args)?, &config);
+    let report = graphprof_analysis::AnalyzeReport::build(&exe, &gmon, &config);
     output.push_str(&report.render_text(gmon_path));
     if let Some(json_path) = args.value("json") {
         write(json_path, report.to_json(exe_path, gmon_path).to_pretty().as_bytes())?;
@@ -591,13 +580,14 @@ pub fn disassemble(args: &Args) -> Result<String, CliError> {
 
 /// `graphprof <prog.gpx> <gmon...> [--flat-only|--graph-only]
 /// [--no-static] [--exclude from:to]... [--break-cycles N]
-/// [--min-percent P] [--focus NAME] [--keep a,b,c] [--cps N] [--sum file]
-/// [--jobs N]`
+/// [--min-percent P] [--focus NAME] [--keep a,b,c] [--cps N] [--sum file]`
 ///
 /// The post-processor. Multiple gmon files are summed (the paper's
 /// several-runs feature); a `<gmon>` positional may also be a directory
 /// (every `gmon.out*` inside it) or a `*`/`?` pattern. `--sum`
-/// additionally writes the merged profile back out, like `gprof -s`.
+/// additionally writes the merged profile back out, like `gprof -s`. A
+/// profile that fails to parse or to merge is named in the error: the
+/// first such file in expanded order.
 ///
 /// # Errors
 ///
@@ -614,7 +604,6 @@ pub fn report(args: &Args) -> Result<String, CliError> {
         ));
     }
     let exe = load_executable(exe_path)?;
-    let jobs = resolve_jobs(args)?;
     // Positionals may name directories (every gmon.out* inside) or
     // `*`/`?` patterns as well as plain files.
     let gmon_paths = expand_gmon_paths(gmon_paths)?;
@@ -622,12 +611,17 @@ pub fn report(args: &Args) -> Result<String, CliError> {
     for path in &gmon_paths {
         blobs.push(read(path)?);
     }
-    let gmon = graphprof::sum_profile_bytes(&blobs, jobs)?;
+    let gmon = graphprof::sum_profile_bytes(&blobs, 1).map_err(|e| match e {
+        AnalyzeError::Input { index, error } => {
+            CliError::Profile { path: gmon_paths[index].clone(), source: error }
+        }
+        e => e.into(),
+    })?;
     if let Some(sum_path) = args.value("sum") {
         write(sum_path, &gmon.to_bytes())?;
     }
 
-    let mut options = Options::default().static_graph(!args.switch("no-static")).jobs(jobs);
+    let mut options = Options::default().static_graph(!args.switch("no-static"));
     for pair in args.values("exclude") {
         let Some((from, to)) = pair.split_once(':') else {
             return Err(CliError::Usage(format!("--exclude expects caller:callee, got `{pair}`")));
@@ -884,7 +878,6 @@ mod tests {
         "sum",
         "dot",
         "tsv",
-        "jobs",
     ];
     const REPORT_SWITCHES: &[&str] =
         &["flat-only", "graph-only", "no-static", "coverage", "annotate", "brief"];
@@ -906,32 +899,28 @@ mod tests {
             ];
             let args = parse(
                 &argv,
-                &["profile", "tick", "shift", "max-cycles", "monitor-only", "jobs"],
+                &["profile", "tick", "shift", "max-cycles", "monitor-only"],
                 &["no-profile"],
             );
             run(&args).expect("runs");
             explicit.push(gmon);
         }
 
-        let report_with = |inputs: &[String], jobs: &str| -> String {
+        let report_with = |inputs: &[String]| -> String {
             let mut argv = vec![exe.clone()];
             argv.extend(inputs.iter().cloned());
-            argv.push("--jobs".to_string());
-            argv.push(jobs.to_string());
             report(&parse(&argv, REPORT_VALUES, REPORT_SWITCHES)).expect("reports")
         };
 
         // Directory, glob, and the explicit file list must all see the
-        // same 20 profiles; jobs=1 and jobs=8 must render byte-identically.
-        let by_files = report_with(&explicit, "1");
-        let by_dir = report_with(&[dir.0.to_string_lossy().into_owned()], "1");
-        let by_glob = report_with(&[dir.path("gmon.out.*")], "1");
+        // same 20 profiles.
+        let by_files = report_with(&explicit);
+        let by_dir = report_with(&[dir.0.to_string_lossy().into_owned()]);
+        let by_glob = report_with(&[dir.path("gmon.out.*")]);
         assert_eq!(by_dir, by_files);
         assert_eq!(by_glob, by_files);
-        assert_eq!(report_with(&explicit, "8"), by_files);
-        assert_eq!(report_with(&[dir.path("gmon.out.*")], "8"), by_files);
         // A subset pattern sums fewer runs, so it must render differently.
-        assert_ne!(report_with(&[dir.path("gmon.out.0?")], "1"), by_files);
+        assert_ne!(report_with(&[dir.path("gmon.out.0?")]), by_files);
         // 20 identical runs of 10 calls each: 200 calls of work.
         assert!(by_files.contains("200"), "{by_files}");
     }
@@ -1104,7 +1093,7 @@ mod tests {
         assert!(report.output.contains("[arc-site-not-call]"), "{}", report.output);
     }
 
-    const ANALYZE_VALUES: &[&str] = &["jobs", "deny", "warn", "allow", "json"];
+    const ANALYZE_VALUES: &[&str] = &["deny", "warn", "allow", "json"];
 
     /// Runs the sample program and returns (exe path, gmon path).
     fn profiled_sample(dir: &TempDir) -> (String, String) {

@@ -29,6 +29,14 @@ pub enum CliError {
     ObjFile(ObjFileError),
     /// A profile file was unreadable or unmergeable.
     Gmon(GmonError),
+    /// A named profile file could not be read as a profile, or summed
+    /// with the ones before it.
+    Profile {
+        /// The file involved.
+        path: String,
+        /// Why it was refused.
+        source: GmonError,
+    },
     /// The machine faulted at run time.
     Interp(InterpError),
     /// The executable text was malformed.
@@ -58,6 +66,7 @@ impl fmt::Display for CliError {
             CliError::Compile(e) => write!(f, "compile error: {e}"),
             CliError::ObjFile(e) => write!(f, "executable error: {e}"),
             CliError::Gmon(e) => write!(f, "profile error: {e}"),
+            CliError::Profile { path, source } => write!(f, "{path}: {source}"),
             CliError::Interp(e) => write!(f, "run-time fault: {e}"),
             CliError::Decode(e) => write!(f, "text error: {e}"),
             CliError::Analyze(e) => write!(f, "analysis error: {e}"),
@@ -82,7 +91,7 @@ impl Error for CliError {
             CliError::Asm(e) => Some(e),
             CliError::Compile(e) => Some(e),
             CliError::ObjFile(e) => Some(e),
-            CliError::Gmon(e) => Some(e),
+            CliError::Gmon(e) | CliError::Profile { source: e, .. } => Some(e),
             CliError::Interp(e) => Some(e),
             CliError::Decode(e) => Some(e),
             CliError::Analyze(e) => Some(e),

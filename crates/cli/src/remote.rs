@@ -45,7 +45,7 @@ fn connect(args: &Args, addr: &str) -> Result<ResilientClient, CliError> {
     Ok(ResilientClient::new(addr, timeout(args)?, retry_policy(args)?))
 }
 
-/// `graphprof serve <prog.gpx> [--bind ADDR] [--vm NAME]... [--jobs N]
+/// `graphprof serve <prog.gpx> [--bind ADDR] [--vm NAME]...
 /// [--max-frame BYTES] [--max-series N] [--tick N] [--slice CYCLES]
 /// [--timeout-ms N] [--data-dir DIR] [--wal-segment-bytes N]
 /// [--stripes N] [--retain K] [--checkpoint-bytes N]
@@ -84,9 +84,6 @@ pub fn serve(args: &Args) -> Result<(ServerHandle, String), CliError> {
         bind: args.value("bind").unwrap_or(DEFAULT_ADDR).to_string(),
         ..ServerConfig::default()
     };
-    if let Some(n) = args.int_value("jobs")? {
-        config.jobs = (n as usize).max(1);
-    }
     if let Some(n) = args.int_value("max-frame")? {
         config.max_frame = n as usize;
     }

@@ -3,8 +3,9 @@
 //! gmon.out at exit), and post-process — plus its failure modes.
 
 use std::fs;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 struct TempDir(PathBuf);
 
@@ -456,26 +457,140 @@ fn messy_profile(dir: &TempDir) -> (String, String) {
 }
 
 #[test]
-fn check_output_bytes_are_jobs_invariant() {
-    let dir = TempDir::new("checkjobs");
+fn check_and_analyze_fail_a_messy_profile() {
+    let dir = TempDir::new("messy");
     let (exe, gmon) = messy_profile(&dir);
-    let serial = run_bin("graphprof", &["check", &exe, &gmon, "--jobs", "1"]);
-    let parallel = run_bin("graphprof", &["check", &exe, &gmon, "--jobs", "8"]);
-    assert_eq!(serial.status.code(), Some(1), "{}", stdout(&serial));
-    assert_eq!(serial.stdout, parallel.stdout, "check output depends on --jobs");
-    // And the findings really are multiple, in (address, code) order.
-    let text = stdout(&serial);
+    let check = run_bin("graphprof", &["check", &exe, &gmon]);
+    assert_eq!(check.status.code(), Some(1), "{}", stdout(&check));
+    // The findings really are multiple, in (address, code) order.
+    let text = stdout(&check);
     assert!(text.matches("error: [").count() >= 2, "{text}");
+    let analyze = run_bin("graphprof", &["analyze", &exe, &gmon]);
+    assert_eq!(analyze.status.code(), Some(1), "{}", stdout(&analyze));
 }
 
+/// Post-processing is serial, so there is no worker count to set:
+/// `--jobs` is an unknown flag like any other.
 #[test]
-fn analyze_output_bytes_are_jobs_invariant() {
-    let dir = TempDir::new("analyzejobs");
-    let (exe, gmon) = messy_profile(&dir);
-    let serial = run_bin("graphprof", &["analyze", &exe, &gmon, "--jobs", "1"]);
-    let parallel = run_bin("graphprof", &["analyze", &exe, &gmon, "--jobs", "8"]);
-    assert_eq!(serial.status.code(), Some(1), "{}", stdout(&serial));
-    assert_eq!(serial.stdout, parallel.stdout, "analyze output depends on --jobs");
+fn jobs_is_an_unknown_flag() {
+    let dir = TempDir::new("nojobs");
+    let (exe, gmon) = straight_profile(&dir);
+    let cases: [(&str, Vec<&str>); 5] = [
+        ("graphprof", vec![&exe, &gmon, "--jobs", "2"]),
+        ("graphprof", vec!["check", &exe, &gmon, "--jobs", "2"]),
+        ("graphprof", vec!["analyze", &exe, &gmon, "--jobs", "2"]),
+        ("graphprof", vec!["serve", &exe, "--jobs", "2"]),
+        ("gpx-run", vec![&exe, "--jobs", "2"]),
+    ];
+    for (bin, args) in cases {
+        let out = run_bin(bin, &args);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        assert!(stderr(&out).contains("unknown flag --jobs"), "{bin} {args:?}: {}", stderr(&out));
+    }
+}
+
+/// Assembles a 600-routine program (`main` calls `f0` to `f599`, each
+/// doing `work`) and profiles it at tick 1. Its report is about 200 KB,
+/// more than a pipe holds.
+fn big_profile(dir: &TempDir) -> (String, String) {
+    let mut src = String::from("routine main {");
+    for i in 0..600 {
+        src.push_str(&format!(" call f{i}"));
+    }
+    src.push_str(" }\n");
+    for i in 0..600 {
+        src.push_str(&format!("routine f{i} {{ work 20 }}\n"));
+    }
+    let src_path = dir.path("big.s");
+    fs::write(&src_path, src).expect("write source");
+    let exe = dir.path("big.gpx");
+    assert!(run_bin("gpx-as", &[&src_path, "--instrument", "gprof", "--out", &exe])
+        .status
+        .success());
+    let gmon = dir.path("big.gmon");
+    assert!(run_bin("gpx-run", &[&exe, "--profile", &gmon, "--tick", "1"]).status.success());
+    (exe, gmon)
+}
+
+/// `graphprof big.gpx big.gmon | head -1`: the reader closes stdout
+/// after one line, while the report is still being written. The tool
+/// stops writing quietly and exits with the status it had decided.
+#[test]
+fn closed_stdout_ends_the_report_quietly() {
+    let dir = TempDir::new("closedout");
+    let (exe, gmon) = big_profile(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_graphprof"))
+        .args([&exe, &gmon])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut first = String::new();
+    let stdout_pipe = child.stdout.take().expect("piped stdout");
+    BufReader::new(stdout_pipe).read_line(&mut first).expect("reads one line");
+    let out = child.wait_with_output().expect("binary exits");
+    assert!(first.contains("flat profile"), "{first}");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+}
+
+/// A usage error whose stderr reader has already gone still exits 2.
+#[test]
+fn usage_error_with_closed_stderr_exits_2() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_graphprof"))
+        .args(["check", "r.gpx", "r.gmon", "--bogus"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    drop(child.stderr.take());
+    assert_eq!(child.wait().expect("binary exits").code(), Some(2));
+}
+
+/// A profile that cannot be parsed, or summed with the ones before it,
+/// is named in the error: the first such file in expanded order.
+#[test]
+fn summation_errors_name_the_first_failing_file() {
+    let dir = TempDir::new("sumerrors");
+    let src = dir.path("pipeline.s");
+    let exe = dir.path("pipeline.gpx");
+    fs::write(&src, SOURCE).expect("write source");
+    assert!(run_bin("gpx-as", &[&src, "--out", &exe]).status.success());
+    let profile = |path: &str, tick: &str| {
+        assert!(run_bin("gpx-run", &[&exe, "--profile", path, "--tick", tick]).status.success());
+    };
+    let runs = dir.path("runs");
+    fs::create_dir_all(&runs).expect("runs dir");
+    for i in 0..5 {
+        profile(&format!("{runs}/gmon.out.{i}"), "16");
+    }
+    let truncated = format!("{runs}/gmon.out.3");
+    let bytes = fs::read(&truncated).expect("read profile");
+    fs::write(&truncated, &bytes[..bytes.len() / 2]).expect("truncate profile");
+    let (r1, t7) = (dir.path("r1.gmon"), dir.path("r_t7.gmon"));
+    profile(&r1, "16");
+    profile(&t7, "7");
+
+    let out = run_bin("graphprof", &[&exe, &runs, "--brief"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains(&format!("{truncated}: profile file is truncated")),
+        "{}",
+        stderr(&out)
+    );
+
+    // A tick-7 profile among tick-16 ones; and the same mismatch ahead of
+    // the truncated file, which is then never reached.
+    for inputs in [vec![&r1, &t7], vec![&r1, &t7, &truncated]] {
+        let mut args = vec![exe.as_str()];
+        args.extend(inputs.iter().map(|s| s.as_str()));
+        let out = run_bin("graphprof", &args);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        let text = stderr(&out);
+        assert!(text.contains(&format!("{t7}: ")), "{text}");
+        assert!(text.contains("sampling period 16 != 7"), "{text}");
+        assert!(!text.contains("truncated"), "{text}");
+    }
 }
 
 #[test]

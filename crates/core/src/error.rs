@@ -17,6 +17,13 @@ pub enum AnalyzeError {
     },
     /// The profile file was unreadable or unmergeable.
     Gmon(GmonError),
+    /// One input of a summation was unreadable or unmergeable.
+    Input {
+        /// The input's position in the summed list.
+        index: usize,
+        /// Why it could not be parsed or merged.
+        error: GmonError,
+    },
     /// The executable's text could not be disassembled for static call
     /// graph discovery.
     Decode(DecodeError),
@@ -36,6 +43,9 @@ impl fmt::Display for AnalyzeError {
                 write!(f, "profile does not match executable: {reason}")
             }
             AnalyzeError::Gmon(e) => write!(f, "profile data error: {e}"),
+            AnalyzeError::Input { index, error } => {
+                write!(f, "profile data error in input {index}: {error}")
+            }
             AnalyzeError::Decode(e) => write!(f, "executable text error: {e}"),
             AnalyzeError::UnknownRoutine { name } => {
                 write!(f, "unknown routine `{name}` in options")
@@ -48,7 +58,7 @@ impl fmt::Display for AnalyzeError {
 impl Error for AnalyzeError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            AnalyzeError::Gmon(e) => Some(e),
+            AnalyzeError::Gmon(e) | AnalyzeError::Input { error: e, .. } => Some(e),
             AnalyzeError::Decode(e) => Some(e),
             _ => None,
         }
@@ -76,6 +86,7 @@ mod tests {
         let errors: Vec<AnalyzeError> = vec![
             AnalyzeError::ExecutableMismatch { reason: "text length".into() },
             AnalyzeError::Gmon(GmonError::BadMagic),
+            AnalyzeError::Input { index: 3, error: GmonError::Truncated },
             AnalyzeError::UnknownRoutine { name: "x".into() },
             AnalyzeError::NoProfiles,
         ];

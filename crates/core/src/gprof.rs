@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use graphprof_callgraph::{
-    break_cycles_greedy, propagate_jobs, CallGraph, NodeId, Propagation, SccResult,
+    break_cycles_greedy, propagate, CallGraph, NodeId, Propagation, SccResult,
 };
 use graphprof_machine::Executable;
 use graphprof_monitor::GmonData;
@@ -135,7 +135,7 @@ impl Gprof {
         }
 
         let scc = SccResult::analyze(&graph);
-        let propagation = propagate_jobs(&graph, &scc, &self_cycles, self.options.jobs.max(1));
+        let propagation = propagate(&graph, &scc, &self_cycles);
 
         let mut instrumented: Vec<bool> = exe.symbols().iter().map(|(_, s)| s.profiled()).collect();
         instrumented.push(false); // spontaneous node
@@ -457,7 +457,7 @@ mod tests {
         let base = Addr::new(0x1000);
         let symbols = SymbolTable::new(vec![Symbol::new("junk", base, 4, false)]);
         let exe = Executable::new(base, vec![0xee; 4], symbols, base);
-        let prepared = PreparedExecutable::new(exe.clone(), 2);
+        let prepared = PreparedExecutable::new(exe.clone());
         let gprof = Gprof::default();
         let wrong_range = GmonData::new(10, Histogram::new(base, 8, 0), vec![]);
         let matching = GmonData::new(10, Histogram::new(base, 4, 0), vec![]);

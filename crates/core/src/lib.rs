@@ -56,7 +56,6 @@ pub mod coverage;
 pub mod diff;
 pub mod dot;
 mod error;
-pub mod exec;
 pub mod export;
 pub mod filter;
 pub mod flat;
@@ -79,7 +78,7 @@ pub use flat::{FlatProfile, FlatRow};
 pub use gprof::{analyze, Analysis, Gprof};
 pub use options::Options;
 pub use prepared::PreparedExecutable;
-pub use sum::{sum_profile_bytes, sum_profiles, sum_profiles_jobs, ProfileAccumulator};
+pub use sum::{sum_profile_bytes, sum_profiles, ProfileAccumulator};
 
 // The profile-file type and its crash-recovery surface, re-exported so
 // post-processing consumers can salvage a torn `gmon.out`

@@ -40,11 +40,6 @@ pub struct Options {
     pub cycles_per_second: f64,
     /// Display filter applied by the renderers.
     pub filter: Filter,
-    /// Worker threads for the parallel pipeline stages (static arc
-    /// discovery, slot dataflow, time propagation). `1` keeps every
-    /// stage on the calling thread; any value yields byte-identical
-    /// output — see [`crate::exec`] for the contract.
-    pub jobs: usize,
 }
 
 impl Default for Options {
@@ -56,7 +51,6 @@ impl Default for Options {
             auto_break_cycles: None,
             cycles_per_second: 1_000_000.0,
             filter: Filter::All,
-            jobs: 1,
         }
     }
 }
@@ -103,13 +97,6 @@ impl Options {
         self.filter = filter;
         self
     }
-
-    /// Sets the worker count for the parallel pipeline stages. Clamped
-    /// up to 1; the output is byte-identical at any value.
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -124,13 +111,6 @@ mod tests {
         assert!(o.excluded_arcs.is_empty());
         assert_eq!(o.auto_break_cycles, None);
         assert_eq!(o.filter, Filter::All);
-        assert_eq!(o.jobs, 1);
-    }
-
-    #[test]
-    fn jobs_clamps_to_at_least_one() {
-        assert_eq!(Options::default().jobs(0).jobs, 1);
-        assert_eq!(Options::default().jobs(8).jobs, 8);
     }
 
     #[test]

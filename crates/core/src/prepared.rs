@@ -11,9 +11,7 @@ use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use graphprof_callgraph::static_graph::StaticArc;
-use graphprof_callgraph::{
-    discover_arcs_with_indirect_jobs, discover_static_arcs_jobs, ArcDiscovery,
-};
+use graphprof_callgraph::{discover_arcs_with_indirect, discover_static_arcs, ArcDiscovery};
 use graphprof_machine::{DecodeError, Executable};
 
 use crate::options::Options;
@@ -44,7 +42,7 @@ use crate::options::Options;
 /// b.routine("leaf", |r| r.work(100));
 /// let exe = b.build()?.compile(&CompileOptions::profiled())?;
 /// let (gmon, _) = profile_to_completion(exe.clone(), 10)?;
-/// let prepared = PreparedExecutable::new(exe.clone(), 1);
+/// let prepared = PreparedExecutable::new(exe.clone());
 /// let gprof = Gprof::new(Options::default());
 /// let once = gprof.analyze(&exe, &gmon)?;
 /// let shared = gprof.analyze_prepared(&prepared, &gmon)?;
@@ -62,14 +60,12 @@ pub struct PreparedExecutable<'e> {
 }
 
 impl PreparedExecutable<'static> {
-    /// Takes `exe` and derives its whole static call graph now, on
-    /// `jobs` workers: the start-up step of a long-lived server. The
-    /// result is the same for every `jobs` value.
-    pub fn new(exe: Executable, jobs: usize) -> Self {
+    /// Takes `exe` and derives its whole static call graph now: the
+    /// start-up step of a long-lived server.
+    pub fn new(exe: Executable) -> Self {
         let prepared = PreparedExecutable::from_cow(Cow::Owned(exe));
-        let jobs = jobs.max(1);
-        prepared.direct(jobs);
-        prepared.resolved(jobs);
+        prepared.direct();
+        prepared.resolved();
         prepared
     }
 }
@@ -97,23 +93,22 @@ impl<'e> PreparedExecutable<'e> {
         &self,
         options: &Options,
     ) -> Result<(&[StaticArc], usize), DecodeError> {
-        let jobs = options.jobs.max(1);
         if !options.use_static_graph {
             Ok((&[], 0))
         } else if options.resolve_indirect {
-            let discovery = self.resolved(jobs).as_ref().map_err(Clone::clone)?;
+            let discovery = self.resolved().as_ref().map_err(Clone::clone)?;
             Ok((&discovery.arcs, discovery.unresolved.len()))
         } else {
-            let arcs = self.direct(jobs).as_ref().map_err(Clone::clone)?;
+            let arcs = self.direct().as_ref().map_err(Clone::clone)?;
             Ok((arcs, 0))
         }
     }
 
-    fn direct(&self, jobs: usize) -> &Result<Vec<StaticArc>, DecodeError> {
-        self.direct.get_or_init(|| discover_static_arcs_jobs(&self.exe, jobs))
+    fn direct(&self) -> &Result<Vec<StaticArc>, DecodeError> {
+        self.direct.get_or_init(|| discover_static_arcs(&self.exe))
     }
 
-    fn resolved(&self, jobs: usize) -> &Result<ArcDiscovery, DecodeError> {
-        self.resolved.get_or_init(|| discover_arcs_with_indirect_jobs(&self.exe, jobs))
+    fn resolved(&self) -> &Result<ArcDiscovery, DecodeError> {
+        self.resolved.get_or_init(|| discover_arcs_with_indirect(&self.exe))
     }
 }

@@ -10,7 +10,8 @@ use graphprof_monitor::GmonData;
 
 use crate::error::AnalyzeError;
 
-/// Sums any number of profile files into one.
+/// Sums any number of profile files into one: a left fold, merging each
+/// profile into the running sum in input order.
 ///
 /// # Errors
 ///
@@ -29,104 +30,55 @@ where
     Ok(acc)
 }
 
-/// [`sum_profiles`] with an explicit worker count.
-///
-/// Profiles merge pairwise up a fixed-shape reduction tree spread over
-/// `jobs` workers. [`GmonData::merge`] is commutative and associative —
-/// sorted arc lists with integer count addition, bucket-wise histogram
-/// addition — so the tree shape cannot change the result: the summed
-/// profile is byte-identical to the serial left fold for every `jobs`
-/// value.
+/// Parses raw `gmon.out` blobs and sums them in one left fold: each blob
+/// is parsed and merged into the running sum before the next one is
+/// parsed. `_jobs` is ignored; it is kept so existing callers still
+/// compile.
 ///
 /// # Errors
 ///
-/// Returns [`AnalyzeError::NoProfiles`] for an empty input, or a merge
-/// mismatch when the profiles come from different executables or
-/// sampling configurations (with several mismatches, which one is
-/// reported may differ from the serial fold's; whether the sum fails
-/// does not).
-pub fn sum_profiles_jobs(profiles: &[GmonData], jobs: usize) -> Result<GmonData, AnalyzeError> {
-    reduce_profiles(profiles.to_vec(), jobs)
-}
-
-fn reduce_profiles(owned: Vec<GmonData>, jobs: usize) -> Result<GmonData, AnalyzeError> {
-    let merged = graphprof_exec::try_tree_reduce(jobs, owned, |mut acc, next| {
-        acc.merge(&next).map(|()| acc)
-    })?;
-    merged.ok_or(AnalyzeError::NoProfiles)
-}
-
-/// Parses raw `gmon.out` blobs and sums them, fanning both stages out
-/// over `jobs` workers. The parse of each blob is independent; the
-/// merge is the same fixed-shape reduction as [`sum_profiles_jobs`].
-///
-/// # Errors
-///
-/// Returns [`AnalyzeError::NoProfiles`] for an empty input, the
-/// lowest-indexed blob's parse error if any blob is malformed, or a
-/// merge mismatch.
-pub fn sum_profile_bytes<B: AsRef<[u8]> + Sync>(
+/// Returns [`AnalyzeError::NoProfiles`] for an empty input. Otherwise
+/// the first blob, in input order, that fails to parse or to merge is
+/// reported as [`AnalyzeError::Input`] with its index.
+pub fn sum_profile_bytes<B: AsRef<[u8]>>(
     blobs: &[B],
-    jobs: usize,
+    _jobs: usize,
 ) -> Result<GmonData, AnalyzeError> {
-    let parsed = graphprof_exec::try_parallel_map(jobs, blobs, |_, blob| {
-        GmonData::from_bytes(blob.as_ref())
-    })?;
-    reduce_profiles(parsed, jobs)
+    let mut sum: Option<GmonData> = None;
+    for (index, blob) in blobs.iter().enumerate() {
+        let input = |error| AnalyzeError::Input { index, error };
+        let profile = GmonData::from_bytes(blob.as_ref()).map_err(input)?;
+        match sum.as_mut() {
+            None => sum = Some(profile),
+            Some(sum) => sum.merge(&profile).map_err(input)?,
+        }
+    }
+    sum.ok_or(AnalyzeError::NoProfiles)
 }
 
 /// Incremental profile summation for long-running collectors.
 ///
 /// A continuous-profiling server cannot afford either face of the offline
 /// API: [`sum_profiles`] wants every input alive at once, and re-summing
-/// from scratch on each upload is quadratic. `ProfileAccumulator` folds
-/// profiles in as they arrive using the binary-counter realization of the
-/// fixed-pairing reduction tree: level *k* holds the merged sum of a
-/// complete, aligned block of 2^k inputs, so pushing the *n*-th profile
-/// performs the same pairwise merges bottom-up that
-/// [`sum_profiles_jobs`]'s tree performs all at once. Memory is
-/// O(log n) partial aggregates instead of O(n) inputs.
+/// from scratch on each upload is quadratic. `ProfileAccumulator` keeps
+/// one running sum instead: every push is exactly one merge, and reading
+/// the aggregate is one clone.
 ///
 /// # Determinism contract
 ///
 /// [`GmonData::merge`] is commutative and associative — sorted arc lists
-/// with integer count addition, bucket-wise histogram addition — so the
-/// fold shape and arrival order cannot change a byte: for any interleaving
-/// of pushes, [`ProfileAccumulator::aggregate`] is byte-identical to
-/// [`sum_profiles`] (and to [`sum_profiles_jobs`] at every `jobs`) over
-/// the same profiles in any order. `graphprof-serve` leans on this to
-/// promise that its live aggregate equals an offline `graphprof -s` over
-/// the same blobs in canonical (series, sequence-number) order.
+/// with integer count addition, bucket-wise histogram addition — so
+/// arrival order cannot change a byte: for any order of pushes,
+/// [`ProfileAccumulator::aggregate`] is byte-identical to
+/// [`sum_profiles`] over the same profiles in any order. `graphprof-serve`
+/// leans on this to promise that its live aggregate equals an offline
+/// `graphprof -s` over the same blobs in canonical (series,
+/// sequence-number) order.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileAccumulator {
-    /// `levels[k]` holds the sum of an aligned 2^k-input block, exactly
-    /// like the bits of `count`.
-    levels: Vec<Option<GmonData>>,
+    /// The sum of everything pushed so far; `None` until the first push.
+    sum: Option<GmonData>,
     count: u64,
-    /// Header fields every subsequent profile must match, captured from
-    /// the first push so later pushes are infallible (a mismatch is
-    /// rejected before any level is touched).
-    shape: Option<ProfileShape>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ProfileShape {
-    cycles_per_tick: u64,
-    base: graphprof_machine::Addr,
-    text_len: u32,
-    shift: u8,
-}
-
-impl ProfileShape {
-    fn of(p: &GmonData) -> ProfileShape {
-        let h = p.histogram();
-        ProfileShape {
-            cycles_per_tick: p.cycles_per_tick(),
-            base: h.base(),
-            text_len: h.text_len(),
-            shift: h.shift(),
-        }
-    }
 }
 
 impl ProfileAccumulator {
@@ -148,51 +100,20 @@ impl ProfileAccumulator {
     /// Folds one profile into the running sum.
     ///
     /// The compatibility check (sampling period, histogram geometry)
-    /// happens before any state changes: a rejected profile leaves the
-    /// accumulator exactly as it was, so a collector can keep serving the
-    /// series after refusing a stray upload.
+    /// happens before any state changes — [`GmonData::merge`] checks
+    /// before it writes — so a rejected profile leaves the accumulator
+    /// exactly as it was, and a collector can keep serving the series
+    /// after refusing a stray upload.
     ///
     /// # Errors
     ///
     /// Returns the same merge-mismatch error [`sum_profiles`] would for
     /// profiles from different executables or sampling configurations.
     pub fn push(&mut self, profile: GmonData) -> Result<(), AnalyzeError> {
-        match self.shape {
-            None => self.shape = Some(ProfileShape::of(&profile)),
-            Some(shape) => {
-                if shape != ProfileShape::of(&profile) {
-                    // Produce the precise mismatch message a direct merge
-                    // would have; the probe merge cannot mutate `probe`
-                    // because GmonData::merge checks before it writes.
-                    let mut probe = self
-                        .levels
-                        .iter()
-                        .flatten()
-                        .next()
-                        .cloned()
-                        .expect("non-empty accumulator has a level");
-                    let err = probe.merge(&profile).expect_err("shape mismatch must fail");
-                    return Err(AnalyzeError::Gmon(err));
-                }
-            }
+        match self.sum.as_mut() {
+            None => self.sum = Some(profile),
+            Some(sum) => sum.merge(&profile)?,
         }
-        // Binary-counter carry: merging an aligned 2^k block with its
-        // sibling, earliest block on the left, bottom-up.
-        let mut carry = profile;
-        for level in self.levels.iter_mut() {
-            match level.take() {
-                None => {
-                    *level = Some(carry);
-                    self.count += 1;
-                    return Ok(());
-                }
-                Some(mut earlier) => {
-                    earlier.merge(&carry).expect("shape was checked");
-                    carry = earlier;
-                }
-            }
-        }
-        self.levels.push(Some(carry));
         self.count += 1;
         Ok(())
     }
@@ -200,17 +121,13 @@ impl ProfileAccumulator {
     /// Rebuilds an accumulator from a previously computed aggregate and
     /// the number of profiles it summed.
     ///
-    /// Because [`GmonData::merge`] is commutative and associative, an
-    /// accumulator holding `{aggregate}` as its only level behaves
-    /// exactly like one that folded the original `count` profiles: its
-    /// [`aggregate`](ProfileAccumulator::aggregate) returns the stored
-    /// sum byte-for-byte, and every subsequent push merges into the same
-    /// running total the original accumulator would have produced. A
-    /// checkpointed collector uses this to restore a series from its
-    /// snapshot and keep folding the WAL suffix on top.
+    /// Its [`aggregate`](ProfileAccumulator::aggregate) returns the
+    /// stored sum byte-for-byte, and every subsequent push merges into
+    /// the same running total the original accumulator would have
+    /// produced. A checkpointed collector uses this to restore a series
+    /// from its snapshot and keep folding the WAL suffix on top.
     pub fn from_aggregate(aggregate: GmonData, count: u64) -> Self {
-        let shape = ProfileShape::of(&aggregate);
-        ProfileAccumulator { levels: vec![Some(aggregate)], count, shape: Some(shape) }
+        ProfileAccumulator { sum: Some(aggregate), count }
     }
 
     /// The sum of everything pushed so far, without consuming the
@@ -220,15 +137,7 @@ impl ProfileAccumulator {
     ///
     /// Returns [`AnalyzeError::NoProfiles`] when nothing has been pushed.
     pub fn aggregate(&self) -> Result<GmonData, AnalyzeError> {
-        let mut acc: Option<GmonData> = None;
-        // Higher levels hold earlier inputs; keep them on the left.
-        for level in self.levels.iter().rev().flatten() {
-            match acc.as_mut() {
-                None => acc = Some(level.clone()),
-                Some(sum) => sum.merge(level).expect("levels share a shape"),
-            }
-        }
-        acc.ok_or(AnalyzeError::NoProfiles)
+        self.sum.clone().ok_or(AnalyzeError::NoProfiles)
     }
 }
 
@@ -236,7 +145,7 @@ impl ProfileAccumulator {
 mod tests {
     use super::*;
     use graphprof_machine::Addr;
-    use graphprof_monitor::{Histogram, RawArc};
+    use graphprof_monitor::{GmonError, Histogram, RawArc};
 
     fn profile(samples: u64, count: u64) -> GmonData {
         let mut h = Histogram::new(Addr::new(0x1000), 32, 0);
@@ -271,27 +180,34 @@ mod tests {
     }
 
     #[test]
-    fn tree_reduction_is_byte_identical_to_serial_fold() {
+    fn summing_bytes_equals_summing_parsed_profiles() {
         let runs: Vec<GmonData> = (1..=20).map(|i| profile(i, 3 * i + 1)).collect();
-        let serial = sum_profiles(&runs).unwrap();
-        for jobs in [1, 2, 8] {
-            assert_eq!(sum_profiles_jobs(&runs, jobs).unwrap().to_bytes(), serial.to_bytes());
-        }
         let blobs: Vec<Vec<u8>> = runs.iter().map(GmonData::to_bytes).collect();
-        assert_eq!(sum_profile_bytes(&blobs, 8).unwrap().to_bytes(), serial.to_bytes());
+        assert_eq!(
+            sum_profile_bytes(&blobs, 1).unwrap().to_bytes(),
+            sum_profiles(&runs).unwrap().to_bytes()
+        );
     }
 
     #[test]
-    fn parallel_sum_propagates_errors() {
-        assert_eq!(sum_profiles_jobs(&[], 4).unwrap_err(), AnalyzeError::NoProfiles);
-        assert_eq!(sum_profile_bytes::<Vec<u8>>(&[], 4).unwrap_err(), AnalyzeError::NoProfiles);
+    fn summing_bytes_reports_the_first_failing_input() {
+        assert_eq!(sum_profile_bytes::<Vec<u8>>(&[], 1).unwrap_err(), AnalyzeError::NoProfiles);
+        let odd = GmonData::new(99, Histogram::new(Addr::new(0x1000), 32, 0), vec![]).to_bytes();
         let mut blobs: Vec<Vec<u8>> = (1..=6).map(|i| profile(i, i).to_bytes()).collect();
-        blobs[3] = b"not a gmon file".to_vec();
-        assert!(matches!(sum_profile_bytes(&blobs, 4), Err(AnalyzeError::Gmon(_))));
-        let runs: Vec<GmonData> = (1..=3).map(|i| profile(i, i)).collect();
-        let odd = GmonData::new(99, Histogram::new(Addr::new(0x1000), 32, 0), vec![]);
-        let mixed = [runs, vec![odd]].concat();
-        assert!(matches!(sum_profiles_jobs(&mixed, 4), Err(AnalyzeError::Gmon(_))));
+        // A merge mismatch before a parse error: the earlier input wins.
+        blobs[2] = odd;
+        blobs[4] = b"not a gmon file".to_vec();
+        let err = sum_profile_bytes(&blobs, 1).unwrap_err();
+        assert!(
+            matches!(err, AnalyzeError::Input { index: 2, error: GmonError::MergeMismatch { .. } }),
+            "{err}"
+        );
+        blobs[1] = blobs[4].clone();
+        let err = sum_profile_bytes(&blobs, 1).unwrap_err();
+        assert!(
+            matches!(err, AnalyzeError::Input { index: 1, error: GmonError::BadMagic }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -305,12 +221,6 @@ mod tests {
             assert_eq!(acc.count(), n as u64);
             let offline = sum_profiles(&runs[..n]).unwrap();
             assert_eq!(acc.aggregate().unwrap().to_bytes(), offline.to_bytes(), "n={n}");
-            for jobs in [1, 4] {
-                assert_eq!(
-                    sum_profiles_jobs(&runs[..n], jobs).unwrap().to_bytes(),
-                    offline.to_bytes()
-                );
-            }
         }
     }
 

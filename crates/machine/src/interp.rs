@@ -115,16 +115,16 @@ pub struct MachineConfig {
     /// Whether to collect exact ground-truth accounting (small constant
     /// overhead per call; disable for the largest benchmark runs).
     pub collect_ground_truth: bool,
-    /// Predecode policy: `0` re-decodes the text on every fetch (the
-    /// original fetch-decode loop), `1` decodes each routine once into a
-    /// per-pc cache before execution, and `N > 1` fans the predecode
-    /// pass out over `N` workers. The cache changes only *when* decoding
-    /// happens, never *what* executes: the cycle/cost model, `mcount`
-    /// accounting, and every fault are bit-identical across settings
-    /// (jumps into the middle of an instruction fall back to the
-    /// on-demand decoder, which reproduces the fetch-decode behavior
-    /// exactly).
-    pub predecode_jobs: usize,
+    /// Whether to decode each routine once into a per-pc cache before
+    /// execution (`true`, the default) or re-decode the text on every
+    /// fetch (`false`, the original fetch-decode loop, kept as the
+    /// reference the cache is tested against). The cache changes only
+    /// *when* decoding happens, never *what* executes: the cycle/cost
+    /// model, `mcount` accounting, and every fault are bit-identical
+    /// across settings (jumps into the middle of an instruction fall back
+    /// to the on-demand decoder, which reproduces the fetch-decode
+    /// behavior exactly).
+    pub predecode: bool,
     /// Tick-delivery batch size: the machine buffers up to this many
     /// `(pc, ticks)` samples before handing them to
     /// [`ProfilingHooks::on_tick_batch`]. `0` or `1` delivers every tick
@@ -142,7 +142,7 @@ impl Default for MachineConfig {
             max_call_depth: 1 << 16,
             cost: CostModel::classic(),
             collect_ground_truth: true,
-            predecode_jobs: 1,
+            predecode: true,
             tick_batch: 64,
         }
     }
@@ -270,7 +270,7 @@ pub struct Machine {
     /// the offsets where linear disassembly from a symbol boundary lands;
     /// everything else (gaps, mid-instruction addresses, undecodable
     /// tails) falls back to the on-demand decoder. Empty when
-    /// `predecode_jobs == 0`.
+    /// [`MachineConfig::predecode`] is off.
     decoded: Vec<Option<(Instruction, u32)>>,
     /// The routine containing each text offset (see [`routine_index`]).
     routines: Vec<u32>,
@@ -286,7 +286,7 @@ impl Machine {
     pub fn with_config(exe: Executable, config: MachineConfig) -> Self {
         let truth = config.collect_ground_truth.then(|| TruthCollector::new(exe.symbols().len()));
         let entry = exe.entry();
-        let decoded = predecode(&exe, config.predecode_jobs);
+        let decoded = if config.predecode { predecode(&exe) } else { Vec::new() };
         let routines = routine_index(&exe);
         let next_tick = if config.cycles_per_tick > 0 { config.cycles_per_tick } else { u64::MAX };
         let mut machine = Machine {
@@ -765,44 +765,22 @@ fn routine_index(exe: &Executable) -> Vec<u32> {
 }
 
 /// Builds the predecode table: one linear-disassembly sweep per symbol,
-/// recording `(Instruction, len)` at every offset the sweep lands on.
-///
-/// `jobs == 0` disables the cache entirely (every fetch decodes on
-/// demand); `jobs == 1` sweeps serially; `jobs > 1` fans the sweeps out
-/// over a worker pool — symbols are independent, and per-symbol results
-/// are written back in symbol order, so the table is identical for any
-/// job count. Sweeps stop quietly at undecodable bytes: those offsets
-/// stay `None` and the on-demand path surfaces the fault at runtime,
-/// exactly as fetch-decode would.
-fn predecode(exe: &Executable, jobs: usize) -> Vec<Option<(Instruction, u32)>> {
-    if jobs == 0 || exe.text().is_empty() {
-        return Vec::new();
-    }
-    let symbols: Vec<(Addr, Addr)> =
-        exe.symbols().iter().map(|(_, sym)| (sym.addr(), sym.end())).collect();
-    let sweeps = graphprof_exec::parallel_map(jobs, &symbols, |_, &(start, end)| {
-        predecode_sweep(exe, start, end)
-    });
+/// in symbol order, recording `(Instruction, len)` at every offset the
+/// sweep lands on. Each sweep stops quietly at undecodable bytes or at
+/// the end of the text: those offsets stay `None` and the on-demand path
+/// surfaces the fault at runtime, exactly as fetch-decode would.
+fn predecode(exe: &Executable) -> Vec<Option<(Instruction, u32)>> {
     let mut table = vec![None; exe.text().len()];
-    for (offset, entry) in sweeps.into_iter().flatten() {
-        table[offset] = Some(entry);
+    for (_, sym) in exe.symbols().iter() {
+        let mut pc = sym.addr();
+        while pc < sym.end() && pc < exe.end() {
+            let Some(offset) = pc.checked_sub(exe.base()) else { break };
+            let Ok((inst, len)) = exe.decode(pc) else { break };
+            table[offset as usize] = Some((inst, len));
+            pc = pc.offset(len);
+        }
     }
     table
-}
-
-/// Linearly disassembles `[start, end)`, returning `(text offset, decoded
-/// instruction)` pairs. Stops at the first decode error or when the
-/// sweep would leave the text segment.
-fn predecode_sweep(exe: &Executable, start: Addr, end: Addr) -> Vec<(usize, (Instruction, u32))> {
-    let mut out = Vec::new();
-    let mut pc = start;
-    while pc < end && pc < exe.end() {
-        let Some(offset) = pc.checked_sub(exe.base()) else { break };
-        let Ok((inst, len)) = exe.decode(pc) else { break };
-        out.push((offset as usize, (inst, len)));
-        pc = pc.offset(len);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1370,9 +1348,9 @@ mod tests {
         assert_eq!(hooks.0[&leaf], 5);
     }
 
-    /// The predecode cache must never change what executes: every fetch
-    /// path (disabled, serial sweep, parallel sweep) yields the same
-    /// clock, instruction count, tick stream, and ground truth.
+    /// The predecode cache must never change what executes: with and
+    /// without it, a run yields the same clock, instruction count, tick
+    /// stream, and ground truth.
     #[test]
     fn predecode_is_bit_identical_to_fetch_decode() {
         #[derive(Default, PartialEq, Debug)]
@@ -1390,19 +1368,15 @@ mod tests {
             })
         };
         let mut runs = Vec::new();
-        for jobs in [0usize, 1, 8] {
-            let config = MachineConfig {
-                cycles_per_tick: 17,
-                predecode_jobs: jobs,
-                ..MachineConfig::default()
-            };
+        for predecode in [false, true] {
+            let config =
+                MachineConfig { cycles_per_tick: 17, predecode, ..MachineConfig::default() };
             let mut m = Machine::with_config(build(), config);
             let mut ticks = TickLog::default();
             let summary = m.run(&mut ticks).unwrap();
             runs.push((summary, ticks, format!("{:?}", m.ground_truth())));
         }
         assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[1], runs[2]);
     }
 
     /// Assembles `code` at 0x1000 with the given `(name, addr, size)`
@@ -1457,23 +1431,5 @@ mod tests {
         assert_eq!(t.routine("a").unwrap().self_cycles, summary.clock);
         assert_eq!(t.routine("b").unwrap().self_cycles, 0);
         assert_eq!(t.routine("b").unwrap().calls, 0);
-    }
-
-    /// The parallel sweep writes per-symbol results back in symbol order,
-    /// so the table itself is identical for any job count.
-    #[test]
-    fn predecode_table_is_job_count_invariant() {
-        let exe = compile_profiled(|b| {
-            for i in 0..12 {
-                let name = format!("r{i}");
-                b.routine(&name, |r| r.work(10 + i));
-            }
-            b.routine("main", |r| (0..12).fold(r, |r, i| r.call(format!("r{i}"))));
-        });
-        let serial = predecode(&exe, 1);
-        let parallel = predecode(&exe, 8);
-        assert_eq!(serial, parallel);
-        assert!(serial.iter().any(|e| e.is_some()));
-        assert!(predecode(&exe, 0).is_empty());
     }
 }

@@ -357,17 +357,13 @@ const TICKS: [u64; 5] = [1, 2, 7, 64, 1000];
 /// Single-steps `exe` against the oracle at both tick batch sizes and
 /// checks that one `run()` observes the same events, clock and ground
 /// truth.
-fn check_against_oracle(exe: &Executable, cycles_per_tick: u64, predecode_jobs: usize) {
+fn check_against_oracle(exe: &Executable, cycles_per_tick: u64, predecode: bool) {
     for tick_batch in [1, 64] {
-        let config = MachineConfig {
-            cycles_per_tick,
-            predecode_jobs,
-            tick_batch,
-            ..MachineConfig::default()
-        };
+        let config =
+            MachineConfig { cycles_per_tick, predecode, tick_batch, ..MachineConfig::default() };
         let stepped = single_step(exe, config);
         let run = run_once(exe, config);
-        let at = format!("tick {cycles_per_tick}, batch {tick_batch}, jobs {predecode_jobs}");
+        let at = format!("tick {cycles_per_tick}, batch {tick_batch}, predecode {predecode}");
         assert_eq!((stepped.clock, stepped.instructions), (run.clock, run.instructions), "{at}");
         assert_eq!(stepped.truth, run.truth, "{at}: ground truth");
         assert_eq!(by_kind(&stepped.events), by_kind(&run.events), "{at}: events");
@@ -446,8 +442,8 @@ fn irregular_symbol_layouts_agree_with_the_oracle() {
     let (exe, (gap_start, gap_end)) = irregular_executable();
     let in_gap = |pc: Addr| pc >= gap_start && pc < gap_end;
     for cycles_per_tick in TICKS {
-        for predecode_jobs in [0, 1, 4] {
-            check_against_oracle(&exe, cycles_per_tick, predecode_jobs);
+        for predecode in [false, true] {
+            check_against_oracle(&exe, cycles_per_tick, predecode);
         }
     }
     // The gap really is exercised: monitoring calls there report their
@@ -472,9 +468,9 @@ proptest! {
     fn single_stepped_runs_agree_with_an_independent_oracle(
         program in arb_program(),
         tick in (0..TICKS.len()).prop_map(|i| TICKS[i]),
-        predecode_jobs in 0usize..2,
+        predecode in any::<bool>(),
     ) {
         let exe = program.compile(&CompileOptions::profiled()).expect("compiles");
-        check_against_oracle(&exe, tick, predecode_jobs);
+        check_against_oracle(&exe, tick, predecode);
     }
 }

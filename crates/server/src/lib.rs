@@ -8,12 +8,11 @@
 //!
 //! * **data plane** — many concurrent clients upload `gmon.out` blobs
 //!   into named series ([`SeriesStore`]). Each upload is validated with
-//!   the existing fallible parsers and linter, then folded incrementally
-//!   with the fixed-pairing tree fold
-//!   ([`ProfileAccumulator`](graphprof::ProfileAccumulator)), so the live
-//!   aggregate is **byte-identical** to an offline `graphprof -s` over the
-//!   same blobs in canonical (series, sequence-number) order — regardless
-//!   of arrival order, client interleaving, or the server's `--jobs`;
+//!   the existing fallible parsers and linter, then folded into a running
+//!   sum ([`ProfileAccumulator`](graphprof::ProfileAccumulator)), so the
+//!   live aggregate is **byte-identical** to an offline `graphprof -s`
+//!   over the same blobs in canonical (series, sequence-number) order —
+//!   regardless of arrival order or client interleaving;
 //! * **control plane** — [`KgmonVerb`] remotes the retrospective's kgmon
 //!   verbs (on/off, moncontrol address ranges, extract, reset) to
 //!   profiled VMs hosted inside the server;

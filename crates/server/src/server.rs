@@ -48,8 +48,8 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-connection write deadline.
     pub write_timeout: Duration,
-    /// Worker count for validation and query rendering (the
-    /// `graphprof_exec` pool); outputs are jobs-invariant by contract.
+    /// Ignored. Validation and query rendering are serial; the field is
+    /// kept so existing struct literals still compile.
     pub jobs: usize,
     /// Sampling period of hosted VMs, in cycles per tick.
     pub vm_tick: u64,
@@ -96,7 +96,7 @@ impl Default for ServerConfig {
             max_series: 64,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            jobs: graphprof_exec::resolve_jobs(None),
+            jobs: 1,
             vm_tick: 10,
             vm_slice: 50_000,
             drain_grace: Duration::from_secs(5),
@@ -183,7 +183,6 @@ impl Server {
 
         let opts = StoreOptions {
             max_series: config.max_series,
-            jobs: config.jobs,
             stripes: config.stripes,
             segment_bytes: config.wal_segment_bytes,
             retain: config.retain,
@@ -446,10 +445,6 @@ fn handle_request(request: Request, shared: &Shared) -> Response {
     }
 }
 
-fn analysis_options(shared: &Shared) -> Options {
-    Options::default().jobs(shared.cfg.jobs)
-}
-
 fn query(shared: &Shared, series: &str, kind: QueryKind) -> Response {
     let Some(aggregate) = shared.store.aggregate(series) else {
         return Response::Error(format!("no such series `{series}`"));
@@ -457,7 +452,7 @@ fn query(shared: &Shared, series: &str, kind: QueryKind) -> Response {
     match kind {
         QueryKind::Sum => Response::Blob(aggregate.to_bytes()),
         QueryKind::Flat | QueryKind::Graph => {
-            let analysis = match Gprof::new(analysis_options(shared))
+            let analysis = match Gprof::new(Options::default())
                 .analyze_prepared(shared.store.prepared(), &aggregate)
             {
                 Ok(a) => a,
@@ -475,7 +470,7 @@ fn diff(shared: &Shared, before: &str, after: &str, format: ReportFormat) -> Res
     let (Some(a), Some(b)) = (shared.store.aggregate(before), shared.store.aggregate(after)) else {
         return Response::Error(format!("no such series `{before}` and/or `{after}`"));
     };
-    let gprof = Gprof::new(analysis_options(shared));
+    let gprof = Gprof::new(Options::default());
     let prepared = shared.store.prepared();
     match (gprof.analyze_prepared(prepared, &a), gprof.analyze_prepared(prepared, &b)) {
         (Ok(a), Ok(b)) => {

@@ -5,7 +5,7 @@
 //! the existing fallible pipeline — [`GmonData::from_bytes`] (which routes
 //! untrusted shapes through `Histogram::from_parts`) and the whole-program
 //! `graphprof analyze` pass — then folded into the series aggregate with
-//! [`ProfileAccumulator`], the fixed-pairing tree fold. The aggregate is
+//! [`ProfileAccumulator`], a running sum. The aggregate is
 //! therefore byte-identical to an offline `graphprof -s` over the same
 //! blobs in canonical (series, sequence-number) order, which the
 //! end-to-end tests assert literally.
@@ -158,7 +158,8 @@ pub struct SeriesStats {
 pub struct StoreOptions {
     /// Maximum number of named series, across all stripes.
     pub max_series: usize,
-    /// Worker count for the validation pipeline.
+    /// Ignored. Validation is serial; the field is kept so existing
+    /// struct literals still compile.
     pub jobs: usize,
     /// Ingest stripes; series are assigned by stable hash.
     pub stripes: usize,
@@ -410,20 +411,19 @@ pub struct SeriesStore {
 
 impl SeriesStore {
     /// A store validating uploads against `exe`, holding at most
-    /// `max_series` series, running the lint pipeline on `jobs` workers.
-    /// Purely in-memory, single stripe: a crash loses everything. See
+    /// `max_series` series. Purely in-memory, single stripe: a crash loses everything. See
     /// [`SeriesStore::with_options`] for sharding and
     /// [`SeriesStore::open`] for the durable variant.
-    pub fn new(exe: Executable, max_series: usize, jobs: usize) -> Self {
-        Self::with_options(exe, StoreOptions { max_series, jobs, ..StoreOptions::default() })
+    pub fn new(exe: Executable, max_series: usize) -> Self {
+        Self::with_options(exe, StoreOptions { max_series, ..StoreOptions::default() })
     }
 
     /// An in-memory store shaped by `opts` (durability options are
     /// ignored — see [`SeriesStore::open`]).
     pub fn with_options(exe: Executable, opts: StoreOptions) -> Self {
         let stripes = opts.stripes.max(1);
-        let checker = graphprof_analysis::ProfileChecker::build_jobs(&exe, opts.jobs.max(1));
-        let prepared = PreparedExecutable::new(exe, opts.jobs);
+        let checker = graphprof_analysis::ProfileChecker::build(&exe);
+        let prepared = PreparedExecutable::new(exe);
         let stripe_shared: Vec<Arc<StripeShared>> = (0..stripes)
             .map(|_| {
                 let shared = Arc::new(StripeShared::default());
@@ -1271,7 +1271,7 @@ mod tests {
     fn uploads_fold_into_a_live_aggregate() {
         let exe = exe();
         let blob = blob(&exe);
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         for seq in 0..4 {
             assert_eq!(store.upload("web", seq, &blob), Ok(seq + 1));
         }
@@ -1288,7 +1288,7 @@ mod tests {
     fn rejects_are_counted_and_leave_the_aggregate_alone() {
         let exe = exe();
         let blob = blob(&exe);
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         store.upload("web", 0, &blob).unwrap();
         let before = store.aggregate("web").unwrap();
 
@@ -1312,7 +1312,7 @@ mod tests {
             b.build().unwrap().compile(&CompileOptions::profiled()).unwrap()
         };
         let foreign = blob(&other);
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         let err = store.upload("web", 0, &foreign).unwrap_err();
         assert!(
             matches!(err, RejectReason::Inconsistent(_) | RejectReason::Unparseable(_)),
@@ -1342,7 +1342,7 @@ mod tests {
         let dirty =
             GmonData::new(parsed.cycles_per_tick(), parsed.histogram().clone(), arcs).to_bytes();
 
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         assert_eq!(store.upload("web", 0, &clean), Ok(1));
         assert_eq!(store.upload("web", 1, &dirty), Ok(2), "tolerated errors still fold in");
         assert_eq!(store.upload("api", 0, &clean), Ok(1));
@@ -1363,7 +1363,7 @@ mod tests {
     fn clean_stores_render_without_analyzer_markers() {
         let exe = exe();
         let blob = blob(&exe);
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         store.upload("web", 0, &blob).unwrap();
         let listing = store.render_stats();
         assert!(!listing.contains("analyzer"), "{listing}");
@@ -1390,7 +1390,7 @@ mod tests {
         let forged =
             GmonData::new(parsed.cycles_per_tick(), parsed.histogram().clone(), arcs).to_bytes();
 
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         let err = store.upload("web", 0, &forged).unwrap_err();
         match err {
             RejectReason::Inconsistent(msg) => {
@@ -1405,7 +1405,7 @@ mod tests {
     fn series_limit_and_name_rules() {
         let exe = exe();
         let blob = blob(&exe);
-        let store = SeriesStore::new(exe, 2, 1);
+        let store = SeriesStore::new(exe, 2);
         store.upload("a", 0, &blob).unwrap();
         store.upload("b", 0, &blob).unwrap();
         assert_eq!(store.upload("c", 0, &blob), Err(RejectReason::TooManySeries { max: 2 }));
@@ -1465,7 +1465,7 @@ mod tests {
     fn auto_seq_continues_after_explicit_uploads() {
         let exe = exe();
         let blob = blob(&exe);
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         store.upload("snaps", 5, &blob).unwrap();
         let (seq, total) = store.upload_auto_seq("snaps", &blob).unwrap();
         assert_eq!((seq, total), (6, 2));
@@ -1500,8 +1500,8 @@ mod tests {
     fn delta_uploads_match_full_uploads_byte_for_byte() {
         let exe = kernel_exe();
         let stream = windows(&exe, 4);
-        let full = SeriesStore::new(exe.clone(), 8, 1);
-        let delta = SeriesStore::new(exe, 8, 1);
+        let full = SeriesStore::new(exe.clone(), 8);
+        let delta = SeriesStore::new(exe, 8);
         for (seq, w) in stream.iter().enumerate() {
             let seq = seq as u64;
             full.upload("web", seq, &w.to_bytes()).unwrap();
@@ -1527,7 +1527,7 @@ mod tests {
     fn stale_or_unknown_bases_require_resync_without_charging() {
         let exe = kernel_exe();
         let stream = windows(&exe, 3);
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         let body = graphprof_monitor::encode_delta(&stream[0], &stream[1]).unwrap();
         // Unknown series: no shadow at all.
         assert_eq!(
@@ -1554,7 +1554,7 @@ mod tests {
     fn duplicate_and_corrupt_deltas_are_typed_and_charged() {
         let exe = kernel_exe();
         let stream = windows(&exe, 2);
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         store.upload("web", 0, &stream[0].to_bytes()).unwrap();
         let body = graphprof_monitor::encode_delta(&stream[0], &stream[1]).unwrap();
         assert_eq!(store.upload_delta("web", 0, 1, &body), Ok(2));
@@ -1619,7 +1619,7 @@ mod tests {
     fn zero_retention_keeps_no_ring() {
         let exe = kernel_exe();
         let stream = windows(&exe, 2);
-        let store = SeriesStore::new(exe, 8, 1);
+        let store = SeriesStore::new(exe, 8);
         for (seq, w) in stream.iter().enumerate() {
             store.upload("web", seq as u64, &w.to_bytes()).unwrap();
         }
@@ -1690,7 +1690,7 @@ mod tests {
         let symbols = SymbolTable::new(vec![Symbol::new("junk", base, 4, false)]);
         let exe = Executable::new(base, vec![0xee; 4], symbols, base);
         let dir = tmpdir("undecodable");
-        let opts = StoreOptions { stripes: 2, jobs: 2, ..StoreOptions::default() };
+        let opts = StoreOptions { stripes: 2, ..StoreOptions::default() };
         let (store, recovery) = SeriesStore::open(exe.clone(), &dir, opts).unwrap();
         assert_eq!(recovery.records(), 0);
         let gmon = GmonData::new(10, Histogram::new(base, 4, 0), vec![]);
@@ -2119,7 +2119,7 @@ mod tests {
 
     #[test]
     fn in_memory_stores_refuse_to_checkpoint() {
-        let store = SeriesStore::new(exe(), 8, 1);
+        let store = SeriesStore::new(exe(), 8);
         assert_eq!(store.checkpoint().unwrap_err().kind(), io::ErrorKind::Unsupported);
     }
 

@@ -3,7 +3,7 @@
 //! Every accepted upload is appended as one checksummed record *before*
 //! the client is acknowledged, so a crash loses at most work the client
 //! never saw succeed. On restart the records are replayed through the
-//! same validation and fixed-pairing fold as live uploads, rebuilding an
+//! same validation and running-sum fold as live uploads, rebuilding an
 //! aggregate byte-identical to what the crashed server held.
 //!
 //! The log is **partitioned by ingest stripe**: stripe `k` of an

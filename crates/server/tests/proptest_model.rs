@@ -59,7 +59,7 @@ fn corpus() -> &'static Corpus {
                 window
             })
             .collect();
-        let probe = SeriesStore::new(exe.clone(), windows.len(), 1);
+        let probe = SeriesStore::new(exe.clone(), windows.len());
         let flagged = windows
             .iter()
             .enumerate()

@@ -7,10 +7,10 @@
 //! collection server answers every query through one. On generated
 //! programs with cycles and resolvable and unresolvable indirect call
 //! sites, every output must equal [`Gprof::analyze`] and
-//! [`graphprof_regress::compare`] exactly, for every option combination
-//! and worker count. The vendored proptest seeds each property from its
-//! name, so a failing case replays by rerunning the test; each
-//! assertion also names the case's generated inputs.
+//! [`graphprof_regress::compare`] exactly, for every option combination.
+//! The vendored proptest seeds each property from its name, so a failing
+//! case replays by rerunning the test; each assertion also names the
+//! case's generated inputs.
 
 use proptest::prelude::*;
 
@@ -143,22 +143,17 @@ fn outcome(result: Result<Analysis, AnalyzeError>) -> Result<Fingerprint, Analyz
 }
 
 /// Every option combination the differential covers: static graph ×
-/// indirect resolution × jobs {1, 8}, each plain, with an arc excluded
-/// (a real one and an unknown one), and with bounded cycle breaking.
+/// indirect resolution, each plain, with an arc excluded (a real one and
+/// an unknown one), and with bounded cycle breaking.
 fn option_matrix(excluded: (String, String), bound: usize) -> Vec<Options> {
     let mut all = Vec::new();
     for static_graph in [false, true] {
         for resolve in [false, true] {
-            for jobs in [1, 8] {
-                let plain = Options::default()
-                    .static_graph(static_graph)
-                    .resolve_indirect(resolve)
-                    .jobs(jobs);
-                all.push(plain.clone());
-                all.push(plain.clone().exclude_arc(excluded.0.clone(), excluded.1.clone()));
-                all.push(plain.clone().exclude_arc("ghost", "f0"));
-                all.push(plain.break_cycles(bound));
-            }
+            let plain = Options::default().static_graph(static_graph).resolve_indirect(resolve);
+            all.push(plain.clone());
+            all.push(plain.clone().exclude_arc(excluded.0.clone(), excluded.1.clone()));
+            all.push(plain.clone().exclude_arc("ghost", "f0"));
+            all.push(plain.break_cycles(bound));
         }
     }
     all
@@ -191,8 +186,8 @@ fn sum(windows: &[GmonData]) -> GmonData {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One shared prepared executable, derived eagerly on 8 workers or
-    /// lazily on first use, answers every option combination exactly
+    /// One shared prepared executable, derived eagerly or lazily on
+    /// first use, answers every option combination exactly
     /// as a fresh one-shot analysis does — including the errors.
     #[test]
     fn prepared_analysis_equals_one_shot(
@@ -206,7 +201,7 @@ proptest! {
             .compile(&CompileOptions::profiled())
             .expect("compiles");
         let (gmon, _) = profile_to_completion(exe.clone(), tick).expect("runs");
-        let eager = PreparedExecutable::new(exe.clone(), 8);
+        let eager = PreparedExecutable::new(exe.clone());
         let lazy = PreparedExecutable::borrowed(&exe);
         let at = exclude_at % (plans.len() - 1);
         let excluded = (format!("f{at}"), format!("f{}", at + 1));
@@ -237,7 +232,7 @@ proptest! {
             .compile(&CompileOptions::profiled())
             .expect("compiles");
         let windows = windows(&exe, tick, count);
-        let prepared = PreparedExecutable::new(exe.clone(), 8);
+        let prepared = PreparedExecutable::new(exe.clone());
         let newest = count - 1;
         let k = k.min(newest);
         let half = count / 2;

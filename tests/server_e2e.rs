@@ -2,7 +2,7 @@
 //! windows of a profiled system over TCP, remote kgmon control of a VM
 //! hosted inside the server, and the determinism contract — the live
 //! aggregate is byte-identical to offline `graphprof -s` over the same
-//! blobs in canonical sequence order, at any worker count.
+//! blobs in canonical sequence order.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -45,14 +45,10 @@ fn start(config: ServerConfig, vms: &[&str]) -> graphprof_server::ServerHandle {
     Server::start(config, kernel_exe(), &vms).expect("binds an ephemeral port")
 }
 
-fn ephemeral(jobs: usize) -> ServerConfig {
-    ServerConfig { jobs, ..ServerConfig::default() }
-}
-
-/// The acceptance scenario: at several worker counts, 4 client threads
-/// interleave 8 uploads into one series; the aggregate — and the
-/// rendered listing — must be byte-identical to the offline pipeline
-/// over the same blobs in sequence order.
+/// The acceptance scenario: 4 client threads interleave 8 uploads into
+/// one series; the aggregate — and the rendered listing — must be
+/// byte-identical to the offline pipeline over the same blobs in
+/// sequence order.
 #[test]
 fn concurrent_uploads_aggregate_deterministically() {
     let exe = kernel_exe();
@@ -67,50 +63,48 @@ fn concurrent_uploads_aggregate_deterministically() {
     .expect("offline sum")
     .to_bytes();
 
-    for jobs in [1usize, 2, 8] {
-        let handle = start(ephemeral(jobs), &[]);
-        let addr = handle.addr().to_string();
+    let handle = start(ServerConfig::default(), &[]);
+    let addr = handle.addr().to_string();
 
-        std::thread::scope(|s| {
-            for t in 0..4usize {
-                let (addr, blobs) = (addr.clone(), &blobs);
-                s.spawn(move || {
-                    let mut client = Client::connect(&addr, TIMEOUT).expect("connects");
-                    // Thread t uploads sequences t, t+4: all four threads
-                    // interleave within one series.
-                    for seq in [t, t + 4] {
-                        client.upload("web", seq as u64, &blobs[seq]).expect("accepted");
-                    }
-                });
-            }
-        });
+    std::thread::scope(|s| {
+        for t in 0..4usize {
+            let (addr, blobs) = (addr.clone(), &blobs);
+            s.spawn(move || {
+                let mut client = Client::connect(&addr, TIMEOUT).expect("connects");
+                // Thread t uploads sequences t, t+4: all four threads
+                // interleave within one series.
+                for seq in [t, t + 4] {
+                    client.upload("web", seq as u64, &blobs[seq]).expect("accepted");
+                }
+            });
+        }
+    });
 
-        let mut client = Client::connect(&addr, TIMEOUT).expect("connects");
-        assert_eq!(
-            client.fetch_sum("web").expect("aggregate"),
-            offline,
-            "aggregate diverged from offline graphprof -s at jobs={jobs}"
-        );
+    let mut client = Client::connect(&addr, TIMEOUT).expect("connects");
+    assert_eq!(
+        client.fetch_sum("web").expect("aggregate"),
+        offline,
+        "aggregate diverged from offline graphprof -s"
+    );
 
-        // The rendered listings match the offline post-processor too.
-        let offline_analysis = Gprof::new(Options::default().jobs(jobs))
-            .analyze(&exe, &GmonData::from_bytes(&offline).unwrap())
-            .expect("offline analysis");
-        assert_eq!(
-            client.query_text("web", QueryKind::Flat).expect("flat"),
-            offline_analysis.render_flat()
-        );
-        assert_eq!(
-            client.query_text("web", QueryKind::Graph).expect("graph"),
-            offline_analysis.render_call_graph()
-        );
+    // The rendered listings match the offline post-processor too.
+    let offline_analysis = Gprof::new(Options::default())
+        .analyze(&exe, &GmonData::from_bytes(&offline).unwrap())
+        .expect("offline analysis");
+    assert_eq!(
+        client.query_text("web", QueryKind::Flat).expect("flat"),
+        offline_analysis.render_flat()
+    );
+    assert_eq!(
+        client.query_text("web", QueryKind::Graph).expect("graph"),
+        offline_analysis.render_call_graph()
+    );
 
-        let stats = client.stats().expect("stats");
-        assert!(stats.contains("8 uploads"), "{stats}");
-        let summary = handle.shutdown();
-        assert!(summary.connections >= 5);
-        assert_eq!(summary.frame_errors, 0);
-    }
+    let stats = client.stats().expect("stats");
+    assert!(stats.contains("8 uploads"), "{stats}");
+    let summary = handle.shutdown();
+    assert!(summary.connections >= 5);
+    assert_eq!(summary.frame_errors, 0);
 }
 
 /// Series diffs reuse `core::diff` server-side.
@@ -118,7 +112,7 @@ fn concurrent_uploads_aggregate_deterministically() {
 fn diff_of_two_series_matches_offline_diff() {
     let exe = kernel_exe();
     let blobs = windows(&exe, 4);
-    let handle = start(ephemeral(1), &[]);
+    let handle = start(ServerConfig::default(), &[]);
     let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
     for (seq, blob) in blobs[..2].iter().enumerate() {
         client.upload("before", seq as u64, blob).expect("accepted");
@@ -137,7 +131,7 @@ fn diff_of_two_series_matches_offline_diff() {
         )
         .unwrap()
     };
-    let gprof = Gprof::new(Options::default().jobs(1));
+    let gprof = Gprof::new(Options::default());
     let offline = graphprof::diff_profiles(
         &gprof.analyze(&exe, &parse(0..2)).unwrap(),
         &gprof.analyze(&exe, &parse(2..4)).unwrap(),
@@ -163,7 +157,7 @@ fn diff_of_two_series_matches_offline_diff() {
 #[test]
 fn remote_kgmon_controls_a_hosted_vm() {
     let exe = kernel_exe();
-    let handle = start(ephemeral(1), &["kernel"]);
+    let handle = start(ServerConfig::default(), &["kernel"]);
     let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
 
     // Quiesce: off + reset gives an empty window while the VM runs on.
@@ -242,7 +236,7 @@ fn wait_for_window(client: &mut Client, ready: impl Fn(&GmonData) -> bool) -> Gm
 fn malformed_frames_and_disconnects_do_not_disturb_other_connections() {
     let exe = kernel_exe();
     let blobs = windows(&exe, 2);
-    let handle = start(ephemeral(1), &[]);
+    let handle = start(ServerConfig::default(), &[]);
     let addr = handle.addr();
     let mut healthy = Client::connect(&addr.to_string(), TIMEOUT).expect("connects");
     healthy.upload("web", 0, &blobs[0]).expect("accepted");
@@ -385,7 +379,7 @@ fn concurrent_same_seq_uploads_race_to_exactly_one_accept() {
 fn remote_regress_gates_series_against_retained_windows() {
     let exe = kernel_exe();
     let blobs = windows(&exe, 4);
-    let handle = start(ServerConfig { jobs: 1, retain: 3, ..ServerConfig::default() }, &[]);
+    let handle = start(ServerConfig { retain: 3, ..ServerConfig::default() }, &[]);
     let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
 
     // `base` and `same` hold identical windows; `slow` folds two more.
@@ -536,7 +530,7 @@ fn read_verbs_match_offline_one_shot_renders() {
         compare(&exe, &sum(&parsed[newest - K as usize..newest]), &parsed[newest], &opts).unwrap();
 
     for stripes in [1usize, 4] {
-        let config = ServerConfig { jobs: 2, stripes, retain: 6, ..ServerConfig::default() };
+        let config = ServerConfig { stripes, retain: 6, ..ServerConfig::default() };
         let handle = start(config, &[]);
         let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
         for (seq, blob) in blobs.iter().enumerate() {
@@ -586,7 +580,7 @@ fn undecodable_executable_still_serves() {
     let base = Addr::new(0x1000);
     let symbols = SymbolTable::new(vec![Symbol::new("junk", base, 4, false)]);
     let exe = Executable::new(base, vec![0xee; 4], symbols, base);
-    let handle = Server::start(ephemeral(2), exe, &[]).expect("starts");
+    let handle = Server::start(ServerConfig::default(), exe, &[]).expect("starts");
     let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
     let err = client.query_text("web", QueryKind::Flat).expect_err("nothing uploaded");
     assert!(err.to_string().contains("no such series"), "{err}");
@@ -600,7 +594,7 @@ fn undecodable_executable_still_serves() {
 fn window_scopes_without_retention_are_typed_rejects() {
     let exe = kernel_exe();
     let blobs = windows(&exe, 1);
-    let handle = start(ephemeral(1), &[]);
+    let handle = start(ServerConfig::default(), &[]);
     let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
     client.upload("web", 0, &blobs[0]).expect("accepted");
     for scope in
@@ -626,7 +620,7 @@ fn window_scopes_without_retention_are_typed_rejects() {
 fn duplicate_and_unknown_series_are_clean_rejects() {
     let exe = kernel_exe();
     let blobs = windows(&exe, 1);
-    let handle = start(ephemeral(1), &[]);
+    let handle = start(ServerConfig::default(), &[]);
     let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
 
     client.upload("web", 0, &blobs[0]).expect("accepted");
