@@ -216,7 +216,8 @@ pub fn assemble(args: &Args) -> Result<String, CliError> {
 /// `gmon.out`. `--monitor-only` restricts recording to one routine's
 /// address range (the moncontrol(3) facility). `--tick-batch` tunes
 /// tick delivery on the monitoring hot path; by contract it never
-/// changes a byte of the profile.
+/// changes a byte of the profile. The machine buffers at most 65,536
+/// samples, so a larger batch delivers 65,536 at a time.
 ///
 /// # Errors
 ///

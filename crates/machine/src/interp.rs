@@ -128,10 +128,11 @@ pub struct MachineConfig {
     /// Tick-delivery batch size: the machine buffers up to this many
     /// `(pc, ticks)` samples before handing them to
     /// [`ProfilingHooks::on_tick_batch`]. `0` or `1` delivers every tick
-    /// immediately. Buffered samples are flushed in order whenever a run
-    /// slice ends (halt, pause, or fault) and whenever the hooks request
-    /// stack samples, so batching never changes what a sampler observes —
-    /// only how many hook crossings it costs.
+    /// immediately. The buffer holds at most 65,536 samples, so a larger
+    /// value delivers batches of 65,536. Buffered samples are flushed in
+    /// order whenever a run slice ends (halt, pause, or fault) and
+    /// whenever the hooks request stack samples, so batching never changes
+    /// what a sampler observes — only how many hook crossings it costs.
     pub tick_batch: usize,
 }
 
@@ -263,9 +264,11 @@ pub struct Machine {
     truth: Option<TruthCollector>,
     /// Scratch buffer for stack-sample delivery.
     stack_scratch: Vec<Addr>,
-    /// Pending tick samples awaiting batched delivery (see
-    /// [`MachineConfig::tick_batch`]).
-    tick_buf: Vec<(Addr, u64)>,
+    /// Tick samples awaiting batched delivery (see
+    /// [`MachineConfig::tick_batch`]): the first `tick_len` entries of a
+    /// fixed slice of `min(tick_batch, MAX_TICK_BATCH)`, flushed when full.
+    tick_buf: Box<[(Addr, u64)]>,
+    tick_len: usize,
     /// Predecoded instructions, indexed by text offset. `Some` exactly at
     /// the offsets where linear disassembly from a symbol boundary lands;
     /// everything else (gaps, mid-instruction addresses, undecodable
@@ -304,7 +307,8 @@ impl Machine {
             next_tick,
             truth,
             stack_scratch: Vec::new(),
-            tick_buf: Vec::with_capacity(config.tick_batch.min(1 << 16)),
+            tick_buf: vec![(Addr::NULL, 0); config.tick_batch.min(MAX_TICK_BATCH)].into(),
+            tick_len: 0,
             decoded,
             routines,
         };
@@ -362,20 +366,7 @@ impl Machine {
     /// Returns an [`InterpError`] on a run-time fault or if the machine had
     /// already halted.
     pub fn run<H: ProfilingHooks>(&mut self, hooks: &mut H) -> Result<RunSummary, InterpError> {
-        if self.halted {
-            return Err(InterpError::AlreadyHalted);
-        }
-        let mut result = Ok(());
-        while !self.halted {
-            if let Err(e) = self.step(hooks) {
-                result = Err(e);
-                break;
-            }
-        }
-        // Ticks buffered up to (and including) a fault are still real
-        // samples: flush before propagating so no profile data is lost.
-        self.flush_ticks(hooks);
-        result?;
+        self.dispatch(hooks, None)?;
         Ok(RunSummary { halted: true, clock: self.clock, instructions: self.instructions })
     }
 
@@ -396,22 +387,36 @@ impl Machine {
         hooks: &mut H,
         cycles: u64,
     ) -> Result<RunStatus, InterpError> {
+        self.dispatch(hooks, Some(self.clock.saturating_add(cycles)))?;
+        Ok(if self.halted { RunStatus::Halted } else { RunStatus::Paused })
+    }
+
+    /// The dispatch loop beneath [`Machine::run`] and [`Machine::run_for`]:
+    /// executes instructions until the machine halts, faults, or its clock
+    /// reaches `deadline`, then flushes buffered ticks. Every helper on the
+    /// per-instruction path is `#[inline(always)]`, so each hooks type gets
+    /// one loop with that whole path compiled into it.
+    fn dispatch<H: ProfilingHooks>(
+        &mut self,
+        hooks: &mut H,
+        deadline: Option<u64>,
+    ) -> Result<(), InterpError> {
         if self.halted {
             return Err(InterpError::AlreadyHalted);
         }
-        let deadline = self.clock.saturating_add(cycles);
         let mut result = Ok(());
-        while !self.halted && self.clock < deadline {
+        while !self.halted && deadline.is_none_or(|d| self.clock < d) {
             if let Err(e) = self.step(hooks) {
                 result = Err(e);
                 break;
             }
         }
         // Flush at every slice boundary so the control interface sees a
-        // complete profile between slices (and after a fault).
+        // complete profile between slices. Ticks buffered up to (and
+        // including) a fault are still real samples, so flush before
+        // propagating it too.
         self.flush_ticks(hooks);
-        result?;
-        Ok(if self.halted { RunStatus::Halted } else { RunStatus::Paused })
+        result
     }
 
     /// Takes an exact accounting snapshot, closing open call frames at the
@@ -465,9 +470,9 @@ impl Machine {
 
     /// Delivers any buffered tick samples, in order.
     fn flush_ticks<H: ProfilingHooks>(&mut self, hooks: &mut H) {
-        if !self.tick_buf.is_empty() {
-            hooks.on_tick_batch(&self.tick_buf);
-            self.tick_buf.clear();
+        if self.tick_len > 0 {
+            hooks.on_tick_batch(&self.tick_buf[..self.tick_len]);
+            self.tick_len = 0;
         }
     }
 
@@ -475,17 +480,27 @@ impl Machine {
     /// any clock ticks that elapse to the sampler hook.
     ///
     /// The ticks are the multiples of `cycles_per_tick` in `(clock, clock +
-    /// n]`. Counting them from `next_tick` costs one compare when none
-    /// elapses, and a division only when more than one does.
+    /// n]`, counted from `next_tick`. Fewer than `cycles_per_tick` cycles
+    /// cross at most one tick; when that tick would be buffered anyway it is
+    /// counted without a branch, since whether it falls due is the one
+    /// data-dependent test left in the dispatch loop. Otherwise counting
+    /// costs one compare when no tick elapses, and a division only when
+    /// more than one does.
+    #[inline(always)]
     fn consume<H: ProfilingHooks>(&mut self, hooks: &mut H, n: u64, at_pc: Addr) {
         if n == 0 {
             return;
         }
         let clock = self.clock + n;
         let t = self.config.cycles_per_tick;
-        // With sampling off `next_tick` is `u64::MAX`, which a clock can
-        // still reach exactly when a hook charges enough cycles.
-        if clock >= self.next_tick && t > 0 {
+        if n < t && self.config.tick_batch > 1 && !hooks.wants_stack_samples() {
+            let hit = clock >= self.next_tick;
+            self.next_tick += u64::from(hit) * t;
+            self.buffer_tick(hooks, (at_pc, 1), hit);
+        } else if clock >= self.next_tick && t > 0 {
+            // `t > 0` matters: with sampling off `next_tick` is `u64::MAX`,
+            // which a clock can still reach exactly when a hook charges
+            // enough cycles.
             let past = clock - self.next_tick;
             let ticks = if past < t { 1 } else { past / t + 1 };
             self.next_tick += ticks * t;
@@ -500,6 +515,7 @@ impl Machine {
     /// Hands `ticks` elapsed clock ticks at `at_pc` to the sampler:
     /// immediately with a stack sample when the hooks want one, otherwise
     /// through the tick batch.
+    #[inline(always)]
     fn deliver_ticks<H: ProfilingHooks>(&mut self, hooks: &mut H, at_pc: Addr, ticks: u64) {
         if hooks.wants_stack_samples() {
             // Stack samples need the live stack, so they cannot be
@@ -513,10 +529,19 @@ impl Machine {
         } else if self.config.tick_batch <= 1 {
             hooks.on_tick(at_pc, ticks);
         } else {
-            self.tick_buf.push((at_pc, ticks));
-            if self.tick_buf.len() >= self.config.tick_batch {
-                self.flush_ticks(hooks);
-            }
+            self.buffer_tick(hooks, (at_pc, ticks), true);
+        }
+    }
+
+    /// Writes `sample` after the buffered ones and keeps it when `keep`,
+    /// flushing the buffer once it is full. Writing unconditionally is
+    /// what lets [`Machine::consume`] record a lone tick without a branch.
+    #[inline(always)]
+    fn buffer_tick<H: ProfilingHooks>(&mut self, hooks: &mut H, sample: (Addr, u64), keep: bool) {
+        self.tick_buf[self.tick_len] = sample;
+        self.tick_len += usize::from(keep);
+        if self.tick_len == self.tick_buf.len() {
+            self.flush_ticks(hooks);
         }
     }
 
@@ -543,6 +568,7 @@ impl Machine {
         self.routine_at(pc).map_or(pc, |id| self.exe.symbols().symbol(id).addr())
     }
 
+    #[inline(always)]
     fn jump(&mut self, from: Addr, target: Addr) -> Result<(), InterpError> {
         if !self.exe.contains(target) {
             return Err(InterpError::BadJump { pc: from, target });
@@ -552,6 +578,7 @@ impl Machine {
         Ok(())
     }
 
+    #[inline(always)]
     fn do_call<H: ProfilingHooks>(
         &mut self,
         hooks: &mut H,
@@ -598,7 +625,7 @@ impl Machine {
     /// index instead of a byte-level decode; misses (cache disabled,
     /// out-of-cache addresses, mid-instruction jumps) take the original
     /// fetch-decode path, so faults and results are identical either way.
-    #[inline]
+    #[inline(always)]
     fn fetch(&self, pc: Addr) -> Result<(Instruction, u32), InterpError> {
         if let Some(offset) = pc.checked_sub(self.exe.base()) {
             if let Some(&Some(hit)) = self.decoded.get(offset as usize) {
@@ -609,6 +636,7 @@ impl Machine {
     }
 
     /// Executes one instruction.
+    #[inline(always)]
     fn step<H: ProfilingHooks>(&mut self, hooks: &mut H) -> Result<(), InterpError> {
         let pc = self.pc;
         let (inst, len) = self.fetch(pc)?;
@@ -739,6 +767,9 @@ impl Machine {
         }
     }
 }
+
+/// The most tick samples the machine buffers between deliveries.
+const MAX_TICK_BATCH: usize = 1 << 16;
 
 /// Marks text offsets no symbol covers in the routine index.
 const NO_ROUTINE: u32 = u32::MAX;
@@ -1121,33 +1152,44 @@ mod tests {
 
     #[test]
     fn tick_stream_is_identical_across_batch_sizes() {
-        let build = |b: &mut crate::ProgramBuilder| {
-            b.routine("main", |r| r.loop_n(50, |l| l.call("leaf").work(37)));
-            b.routine("leaf", |r| r.work(11));
-        };
-        let baseline = {
-            let exe = compile(build);
-            let config =
-                MachineConfig { cycles_per_tick: 13, tick_batch: 1, ..MachineConfig::default() };
+        const T: u32 = 13;
+        // Work of t−1, t, t+1 and 2t+1 cycles crosses at most one tick,
+        // exactly one, one or two, and two or three: the lone-tick and the
+        // multi-tick case interleaved, in a stream of more samples than
+        // the buffer holds.
+        let run = |tick_batch: usize| {
+            let exe = compile(|b| {
+                b.routine("main", |r| {
+                    r.loop_n(20_000, |l| {
+                        l.call("leaf").work(T - 1).work(T).work(T + 1).work(2 * T + 1)
+                    })
+                });
+                b.routine("leaf", |r| r.work(11));
+            });
+            let config = MachineConfig {
+                cycles_per_tick: u64::from(T),
+                tick_batch,
+                ..MachineConfig::default()
+            };
             let mut m = Machine::with_config(exe, config);
             let mut hooks = BatchLog::default();
             m.run(&mut hooks).unwrap();
-            assert!(hooks.batch_sizes.is_empty(), "tick_batch 1 delivers immediately");
-            hooks.samples
+            hooks
         };
-        for tick_batch in [0usize, 7, 64, 1 << 20] {
-            let exe = compile(build);
-            let config =
-                MachineConfig { cycles_per_tick: 13, tick_batch, ..MachineConfig::default() };
-            let mut m = Machine::with_config(exe, config);
-            let mut hooks = BatchLog::default();
-            m.run(&mut hooks).unwrap();
-            assert_eq!(hooks.samples, baseline, "tick_batch {tick_batch}");
+        let baseline = run(1);
+        assert!(baseline.batch_sizes.is_empty(), "tick_batch 1 delivers immediately");
+        assert!(baseline.samples.len() > MAX_TICK_BATCH, "{} samples", baseline.samples.len());
+        for tick_batch in [0usize, 2, 7, 13, 64, 1 << 20, usize::MAX] {
+            let log = run(tick_batch);
+            assert!(log.samples == baseline.samples, "tick_batch {tick_batch}: stream differs");
             if tick_batch > 1 {
+                // Every batch but the last fills the buffer exactly.
+                let capacity = tick_batch.min(MAX_TICK_BATCH);
+                let (last, full) = log.batch_sizes.split_last().expect("ticks were delivered");
                 assert!(
-                    hooks.batch_sizes.iter().all(|&n| n >= 1 && n <= tick_batch),
-                    "batches of {:?} exceed capacity {tick_batch}",
-                    hooks.batch_sizes
+                    full.iter().all(|&n| n == capacity) && (1..=capacity).contains(last),
+                    "tick_batch {tick_batch}: batches of {:?} against capacity {capacity}",
+                    log.batch_sizes
                 );
             }
         }
