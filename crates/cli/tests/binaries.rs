@@ -668,6 +668,22 @@ fn assembly_errors_carry_positions() {
     assert!(err.contains("wurk"), "{err}");
 }
 
+#[test]
+fn overlong_routine_names_are_assembly_errors_that_write_nothing() {
+    let dir = TempDir::new("longname");
+    let src = dir.path("long.s");
+    let exe = dir.path("long.gpx");
+    let name = "r".repeat(300);
+    fs::write(&src, format!("routine main {{ call {name} }}\nroutine {name} {{ work 1 }}"))
+        .expect("write");
+    let out = run_bin("gpx-as", &[&src, "--out", &exe]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let err = stderr(&out);
+    assert!(err.contains("assembly error"), "{err}");
+    assert!(err.contains("300 bytes long; the limit is 255"), "{err}");
+    assert!(!Path::new(&exe).exists(), "no executable is written");
+}
+
 // ---- the collection server binaries ---------------------------------
 
 /// Kills the spawned `graphprof serve` child when the test ends,

@@ -69,6 +69,15 @@ pub enum CompileError {
     },
     /// The program has no routines.
     Empty,
+    /// A routine name is longer than the executable format stores.
+    NameTooLong {
+        /// The routine's name.
+        routine: String,
+        /// Its length in bytes.
+        len: usize,
+        /// The longest name allowed, in bytes.
+        max: usize,
+    },
     /// Loops nested deeper than the register file allows.
     LoopTooDeep {
         /// The routine containing the loop nest.
@@ -114,6 +123,9 @@ impl fmt::Display for CompileError {
                 write!(f, "entry routine `{name}` is not defined")
             }
             CompileError::Empty => write!(f, "program has no routines"),
+            CompileError::NameTooLong { routine, len, max } => {
+                write!(f, "routine name `{routine}` is {len} bytes long; the limit is {max}")
+            }
             CompileError::LoopTooDeep { routine, max } => {
                 write!(f, "loops in `{routine}` nest deeper than {max} levels")
             }
