@@ -21,7 +21,7 @@
 //!   retrospective: switch profiling on and off, extract data, and reset it
 //!   without taking the "kernel" down;
 //! * [`reference`] — frozen scalar baselines for the optimized hot paths,
-//!   used by the differential tests and the `hotpath` bench;
+//!   used by the differential tests;
 //! * [`stacks`] — the retrospective's "modern profiler": complete
 //!   call-stack sampling, which needs no instrumentation and sidesteps
 //!   both of gprof's §4 pitfalls (per-call averaging and cycles).

@@ -5,8 +5,8 @@
 //! they must be byte-identical to the straightforward scalar code they
 //! replaced. This module keeps that scalar code alive — verbatim, one
 //! branch per sample, `Vec` indexing with bounds checks — so the
-//! differential suite and the `hotpath` bench always have a known-good
-//! baseline to compare and measure against.
+//! differential suite always has a known-good baseline to compare
+//! against.
 //!
 //! Nothing here is a deprecation shim: these types are permanent test
 //! infrastructure. Do not "optimize" them; their value is that they stay
