@@ -5,14 +5,13 @@
 use graphprof_cli::{exit_with, run, Args};
 
 const USAGE: &str = "gpx-run <prog.gpx> [--profile gmon.out] [--tick N] \
-                     [--shift N] [--max-cycles N] [--monitor-only routine] [--no-profile] \
-                     [--tick-batch N]";
+                     [--shift N] [--max-cycles N] [--monitor-only routine] [--no-profile]";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = Args::parse(
         &argv,
-        &["profile", "tick", "shift", "max-cycles", "monitor-only", "tick-batch"],
+        &["profile", "tick", "shift", "max-cycles", "monitor-only"],
         &["no-profile"],
     )
     .and_then(|args| run(&args));

@@ -208,16 +208,12 @@ pub fn assemble(args: &Args) -> Result<String, CliError> {
 }
 
 /// `gpx-run <prog.gpx> [--profile gmon.out] [--tick N] [--shift N]
-/// [--max-cycles N] [--monitor-only routine] [--no-profile]
-/// [--tick-batch N]`
+/// [--max-cycles N] [--monitor-only routine] [--no-profile]`
 ///
 /// Runs an executable under the monitoring runtime and condenses the
 /// profile data to a file at exit, like a `-pg` program writing
 /// `gmon.out`. `--monitor-only` restricts recording to one routine's
-/// address range (the moncontrol(3) facility). `--tick-batch` tunes
-/// tick delivery on the monitoring hot path; by contract it never
-/// changes a byte of the profile. The machine buffers at most 65,536
-/// samples, so a larger batch delivers 65,536 at a time.
+/// address range (the moncontrol(3) facility).
 ///
 /// # Errors
 ///
@@ -235,12 +231,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let budget = args.int_value("max-cycles")?;
     let profiling = !args.switch("no-profile");
 
-    let default_config = MachineConfig::default();
     let config = MachineConfig {
         cycles_per_tick: if profiling { tick } else { 0 },
         collect_ground_truth: false,
-        tick_batch: args.int_value("tick-batch")?.map_or(default_config.tick_batch, |n| n as usize),
-        ..default_config
+        ..MachineConfig::default()
     };
     let mut machine = Machine::with_config(exe.clone(), config);
     let mut profiler = RuntimeProfiler::with_granularity(&exe, tick, shift);
@@ -784,36 +778,6 @@ mod tests {
         assert!(output.contains("call graph profile:"));
         assert!(output.contains("work"));
         assert!(output.contains("10/10"));
-    }
-
-    #[test]
-    fn hot_path_knobs_never_change_profile_bytes() {
-        let dir = TempDir::new("hotknobs");
-        let exe = assemble_sample(&dir);
-        let run_with = |name: &str, extra: &[&str]| -> Vec<u8> {
-            let gmon = dir.path(name);
-            let mut argv = vec![
-                exe.clone(),
-                "--profile".to_string(),
-                gmon.clone(),
-                "--tick".to_string(),
-                "10".to_string(),
-            ];
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            let args = parse(
-                &argv,
-                &["profile", "tick", "shift", "max-cycles", "monitor-only", "tick-batch"],
-                &["no-profile"],
-            );
-            run(&args).expect("runs");
-            fs::read(&gmon).expect("reads")
-        };
-        let baseline = run_with("gmon.default", &[]);
-        // Immediate delivery, tiny batches, and huge batches must all
-        // write the identical file.
-        assert_eq!(run_with("gmon.batch1", &["--tick-batch", "1"]), baseline);
-        assert_eq!(run_with("gmon.batch3", &["--tick-batch", "3"]), baseline);
-        assert_eq!(run_with("gmon.batch1m", &["--tick-batch", "1048576"]), baseline);
     }
 
     #[test]

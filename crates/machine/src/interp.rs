@@ -59,12 +59,12 @@ pub trait ProfilingHooks {
 
     /// A buffered run of tick samples, in delivery order.
     ///
-    /// The machine groups tick events into batches of
-    /// [`MachineConfig::tick_batch`] so samplers can recognize the bulk
-    /// case (see `Histogram::record_batch` in the monitor crate). The
-    /// default implementation folds the batch through
-    /// [`ProfilingHooks::on_tick`] in order, so implementing only
-    /// `on_tick` remains fully correct: batching changes *when* samples
+    /// The machine buffers up to 64 tick samples and hands them over
+    /// together, when the buffer fills and at the end of every run slice,
+    /// so samplers can take the bulk case (see `Histogram::record_batch`
+    /// in the monitor crate). The default implementation folds the batch
+    /// through [`ProfilingHooks::on_tick`] in order, so implementing only
+    /// `on_tick` remains fully correct: buffering changes *when* samples
     /// are handed over, never their content or order.
     fn on_tick_batch(&mut self, samples: &[(Addr, u64)]) {
         for &(pc, ticks) in samples {
@@ -125,15 +125,6 @@ pub struct MachineConfig {
     /// to the on-demand decoder, which reproduces the fetch-decode
     /// behavior exactly).
     pub predecode: bool,
-    /// Tick-delivery batch size: the machine buffers up to this many
-    /// `(pc, ticks)` samples before handing them to
-    /// [`ProfilingHooks::on_tick_batch`]. `0` or `1` delivers every tick
-    /// immediately. The buffer holds at most 65,536 samples, so a larger
-    /// value delivers batches of 65,536. Buffered samples are flushed in
-    /// order whenever a run slice ends (halt, pause, or fault) and
-    /// whenever the hooks request stack samples, so batching never changes
-    /// what a sampler observes — only how many hook crossings it costs.
-    pub tick_batch: usize,
 }
 
 impl Default for MachineConfig {
@@ -144,7 +135,6 @@ impl Default for MachineConfig {
             cost: CostModel::classic(),
             collect_ground_truth: true,
             predecode: true,
-            tick_batch: 64,
         }
     }
 }
@@ -264,10 +254,11 @@ pub struct Machine {
     truth: Option<TruthCollector>,
     /// Scratch buffer for stack-sample delivery.
     stack_scratch: Vec<Addr>,
-    /// Tick samples awaiting batched delivery (see
-    /// [`MachineConfig::tick_batch`]): the first `tick_len` entries of a
-    /// fixed slice of `min(tick_batch, MAX_TICK_BATCH)`, flushed when full.
-    tick_buf: Box<[(Addr, u64)]>,
+    /// Tick samples awaiting delivery through
+    /// [`ProfilingHooks::on_tick_batch`]: the first `tick_len` entries,
+    /// in the order they fell due, flushed when full and at the end of
+    /// every run slice.
+    tick_buf: Box<[(Addr, u64); TICK_BATCH]>,
     tick_len: usize,
     /// Predecoded instructions, indexed by text offset. `Some` exactly at
     /// the offsets where linear disassembly from a symbol boundary lands;
@@ -307,7 +298,7 @@ impl Machine {
             next_tick,
             truth,
             stack_scratch: Vec::new(),
-            tick_buf: vec![(Addr::NULL, 0); config.tick_batch.min(MAX_TICK_BATCH)].into(),
+            tick_buf: Box::new([(Addr::NULL, 0); TICK_BATCH]),
             tick_len: 0,
             decoded,
             routines,
@@ -481,11 +472,11 @@ impl Machine {
     ///
     /// The ticks are the multiples of `cycles_per_tick` in `(clock, clock +
     /// n]`, counted from `next_tick`. Fewer than `cycles_per_tick` cycles
-    /// cross at most one tick; when that tick would be buffered anyway it is
-    /// counted without a branch, since whether it falls due is the one
-    /// data-dependent test left in the dispatch loop. Otherwise counting
-    /// costs one compare when no tick elapses, and a division only when
-    /// more than one does.
+    /// cross at most one tick; unless the hooks want stack samples, that
+    /// tick is counted without a branch, since whether it falls due is the
+    /// one data-dependent test left in the dispatch loop. Otherwise
+    /// counting costs one compare when no tick elapses, and a division
+    /// only when more than one does.
     #[inline(always)]
     fn consume<H: ProfilingHooks>(&mut self, hooks: &mut H, n: u64, at_pc: Addr) {
         if n == 0 {
@@ -493,7 +484,7 @@ impl Machine {
         }
         let clock = self.clock + n;
         let t = self.config.cycles_per_tick;
-        if n < t && self.config.tick_batch > 1 && !hooks.wants_stack_samples() {
+        if n < t && !hooks.wants_stack_samples() {
             let hit = clock >= self.next_tick;
             self.next_tick += u64::from(hit) * t;
             self.buffer_tick(hooks, (at_pc, 1), hit);
@@ -514,7 +505,7 @@ impl Machine {
 
     /// Hands `ticks` elapsed clock ticks at `at_pc` to the sampler:
     /// immediately with a stack sample when the hooks want one, otherwise
-    /// through the tick batch.
+    /// through the tick buffer.
     #[inline(always)]
     fn deliver_ticks<H: ProfilingHooks>(&mut self, hooks: &mut H, at_pc: Addr, ticks: u64) {
         if hooks.wants_stack_samples() {
@@ -526,8 +517,6 @@ impl Machine {
             self.stack_scratch.push(at_pc);
             self.stack_scratch.extend(self.stack.iter().rev().map(|f| f.return_pc));
             hooks.on_stack_sample(&self.stack_scratch, ticks);
-        } else if self.config.tick_batch <= 1 {
-            hooks.on_tick(at_pc, ticks);
         } else {
             self.buffer_tick(hooks, (at_pc, ticks), true);
         }
@@ -540,7 +529,7 @@ impl Machine {
     fn buffer_tick<H: ProfilingHooks>(&mut self, hooks: &mut H, sample: (Addr, u64), keep: bool) {
         self.tick_buf[self.tick_len] = sample;
         self.tick_len += usize::from(keep);
-        if self.tick_len == self.tick_buf.len() {
+        if self.tick_len == TICK_BATCH {
             self.flush_ticks(hooks);
         }
     }
@@ -768,8 +757,8 @@ impl Machine {
     }
 }
 
-/// The most tick samples the machine buffers between deliveries.
-const MAX_TICK_BATCH: usize = 1 << 16;
+/// How many tick samples the machine buffers between deliveries.
+const TICK_BATCH: usize = 64;
 
 /// Marks text offsets no symbol covers in the routine index.
 const NO_ROUTINE: u32 = u32::MAX;
@@ -1157,42 +1146,37 @@ mod tests {
         // exactly one, one or two, and two or three: the lone-tick and the
         // multi-tick case interleaved, in a stream of more samples than
         // the buffer holds.
-        let run = |tick_batch: usize| {
+        let machine = || {
             let exe = compile(|b| {
                 b.routine("main", |r| {
-                    r.loop_n(20_000, |l| {
+                    r.loop_n(1_000, |l| {
                         l.call("leaf").work(T - 1).work(T).work(T + 1).work(2 * T + 1)
                     })
                 });
                 b.routine("leaf", |r| r.work(11));
             });
-            let config = MachineConfig {
-                cycles_per_tick: u64::from(T),
-                tick_batch,
-                ..MachineConfig::default()
-            };
-            let mut m = Machine::with_config(exe, config);
-            let mut hooks = BatchLog::default();
-            m.run(&mut hooks).unwrap();
-            hooks
+            let config =
+                MachineConfig { cycles_per_tick: u64::from(T), ..MachineConfig::default() };
+            Machine::with_config(exe, config)
         };
-        let baseline = run(1);
-        assert!(baseline.batch_sizes.is_empty(), "tick_batch 1 delivers immediately");
-        assert!(baseline.samples.len() > MAX_TICK_BATCH, "{} samples", baseline.samples.len());
-        for tick_batch in [0usize, 2, 7, 13, 64, 1 << 20, usize::MAX] {
-            let log = run(tick_batch);
-            assert!(log.samples == baseline.samples, "tick_batch {tick_batch}: stream differs");
-            if tick_batch > 1 {
-                // Every batch but the last fills the buffer exactly.
-                let capacity = tick_batch.min(MAX_TICK_BATCH);
-                let (last, full) = log.batch_sizes.split_last().expect("ticks were delivered");
-                assert!(
-                    full.iter().all(|&n| n == capacity) && (1..=capacity).contains(last),
-                    "tick_batch {tick_batch}: batches of {:?} against capacity {capacity}",
-                    log.batch_sizes
-                );
-            }
+        // Single-stepping flushes the buffer after every instruction.
+        let mut stepped = machine();
+        let mut reference = BatchLog::default();
+        while !stepped.halted() {
+            stepped.run_for(&mut reference, 1).unwrap();
         }
+        assert!(reference.samples.len() > TICK_BATCH, "{} samples", reference.samples.len());
+        let mut m = machine();
+        let mut log = BatchLog::default();
+        m.run(&mut log).unwrap();
+        assert!(log.samples == reference.samples, "one run's stream differs from single-stepping");
+        // Every batch but the last fills the buffer exactly.
+        let (last, full) = log.batch_sizes.split_last().expect("ticks were delivered");
+        assert!(
+            full.iter().all(|&n| n == TICK_BATCH) && (1..=TICK_BATCH).contains(last),
+            "batches of {:?} against a buffer of {TICK_BATCH}",
+            log.batch_sizes
+        );
     }
 
     #[test]
@@ -1200,12 +1184,11 @@ mod tests {
         let exe = compile(|b| {
             b.routine("main", |r| r.loop_n(100, |l| l.work(100)));
         });
-        let config =
-            MachineConfig { cycles_per_tick: 10, tick_batch: 1 << 20, ..MachineConfig::default() };
+        let config = MachineConfig { cycles_per_tick: 10, ..MachineConfig::default() };
         let mut m = Machine::with_config(exe, config);
         let mut hooks = BatchLog::default();
-        // The batch capacity is never reached, so every sample the slice
-        // produced must arrive via the boundary flush.
+        // The slice takes fewer samples than the buffer holds, so every
+        // sample it produced must arrive via the boundary flush.
         let status = m.run_for(&mut hooks, 500).unwrap();
         assert_eq!(status, RunStatus::Paused);
         let after_slice: u64 = hooks.samples.iter().map(|&(_, n)| n).sum();
@@ -1238,8 +1221,7 @@ mod tests {
         let exe = compile(|b| {
             b.routine("main", |r| r.work(1000));
         });
-        let config =
-            MachineConfig { cycles_per_tick: 100, tick_batch: 64, ..MachineConfig::default() };
+        let config = MachineConfig { cycles_per_tick: 100, ..MachineConfig::default() };
         let mut m = Machine::with_config(exe, config);
         let mut hooks = PairLog::default();
         m.run(&mut hooks).unwrap();

@@ -345,8 +345,8 @@ fn run_once(exe: &Executable, config: MachineConfig) -> Observed {
     }
 }
 
-/// The event stream split into monitoring calls and tick samples: batched
-/// delivery moves samples relative to monitoring calls, never within
+/// The event stream split into monitoring calls and tick samples: the
+/// tick buffer moves samples relative to monitoring calls, never within
 /// their own kind.
 fn by_kind(events: &[Event]) -> (Vec<Event>, Vec<Event>) {
     events.iter().partition(|e| !matches!(e, Event::Tick { .. }))
@@ -354,23 +354,16 @@ fn by_kind(events: &[Event]) -> (Vec<Event>, Vec<Event>) {
 
 const TICKS: [u64; 5] = [1, 2, 7, 64, 1000];
 
-/// Single-steps `exe` against the oracle at both tick batch sizes and
-/// checks that one `run()` observes the same events, clock and ground
-/// truth.
+/// Single-steps `exe` against the oracle and checks that one `run()`
+/// observes the same events, clock and ground truth.
 fn check_against_oracle(exe: &Executable, cycles_per_tick: u64, predecode: bool) {
-    for tick_batch in [1, 64] {
-        let config =
-            MachineConfig { cycles_per_tick, predecode, tick_batch, ..MachineConfig::default() };
-        let stepped = single_step(exe, config);
-        let run = run_once(exe, config);
-        let at = format!("tick {cycles_per_tick}, batch {tick_batch}, predecode {predecode}");
-        assert_eq!((stepped.clock, stepped.instructions), (run.clock, run.instructions), "{at}");
-        assert_eq!(stepped.truth, run.truth, "{at}: ground truth");
-        assert_eq!(by_kind(&stepped.events), by_kind(&run.events), "{at}: events");
-        if tick_batch == 1 {
-            assert_eq!(stepped.events, run.events, "{at}: interleaving");
-        }
-    }
+    let config = MachineConfig { cycles_per_tick, predecode, ..MachineConfig::default() };
+    let stepped = single_step(exe, config);
+    let run = run_once(exe, config);
+    let at = format!("tick {cycles_per_tick}, predecode {predecode}");
+    assert_eq!((stepped.clock, stepped.instructions), (run.clock, run.instructions), "{at}");
+    assert_eq!(stepped.truth, run.truth, "{at}: ground truth");
+    assert_eq!(by_kind(&stepped.events), by_kind(&run.events), "{at}: events");
 }
 
 /// An executable the compiler never emits. `main`'s symbol starts below

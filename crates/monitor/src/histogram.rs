@@ -11,172 +11,8 @@
 //! 32-bit count for each possible program counter value"); larger shifts
 //! trade memory for boundary smearing, which the post-processor must then
 //! apportion across routines sharing a bucket.
-//!
-//! # Layout
-//!
-//! Bucket storage is a structure-of-arrays block ([`HistogramBuckets`]):
-//! one flat `u64` array padded to a power-of-two stride of [`LANES`]
-//! counters. Everything that walks the whole array — [`Histogram::merge`],
-//! [`Histogram::reset`], [`Histogram::total`], and the nonzero scan
-//! feeding the post-processor's self-time assignment — runs lane-blocked
-//! over full stride chunks with no tail iteration, which the compiler
-//! turns into straight SIMD loops. Sample recording additionally has a
-//! bulk entry point, [`Histogram::record_batch`], used by the machine's
-//! batched tick delivery; it is defined to equal a fold of
-//! [`Histogram::record`] exactly (integer accumulation, so the final
-//! counts are identical no matter how deliveries are grouped).
 
 use graphprof_machine::Addr;
-
-/// Number of `u64` counters per accumulation block: the power-of-two
-/// stride the bucket array is padded to.
-///
-/// Eight lanes is one 64-byte cache line per block and wide enough for
-/// 512-bit vectors; being a power of two keeps block addressing a shift.
-pub const LANES: usize = 8;
-
-/// The bucket array of a [`Histogram`]: a flat, zero-padded
-/// structure-of-arrays counter block with a lane-blocked accumulation
-/// API.
-///
-/// Invariant: the backing storage is always a multiple of [`LANES`] long
-/// and every counter past [`HistogramBuckets::len`] is zero. All bulk
-/// operations (`accumulate`, `clear`, `sum`, the nonzero scan) exploit
-/// that by iterating whole blocks only — no tail loop, no per-element
-/// bounds checks — which is what lets them vectorize.
-#[derive(Debug, Clone)]
-pub struct HistogramBuckets {
-    /// Counts, padded with zeros to a multiple of [`LANES`].
-    counts: Vec<u64>,
-    /// Logical bucket count (`counts[len..]` is padding, always zero).
-    len: usize,
-}
-
-impl HistogramBuckets {
-    /// Allocates `len` zeroed buckets (plus hidden stride padding).
-    pub fn new(len: usize) -> Self {
-        HistogramBuckets { counts: vec![0; len.next_multiple_of(LANES)], len }
-    }
-
-    /// Wraps existing counts, padding them out to the stride.
-    pub fn from_counts(mut counts: Vec<u64>) -> Self {
-        let len = counts.len();
-        counts.resize(len.next_multiple_of(LANES), 0);
-        HistogramBuckets { counts, len }
-    }
-
-    /// Logical number of buckets.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when there are no logical buckets.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The logical counts, without the stride padding.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.counts[..self.len]
-    }
-
-    /// Adds `v` to bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of the logical range.
-    #[inline]
-    pub fn add(&mut self, i: usize, v: u64) {
-        assert!(i < self.len, "bucket {i} out of range");
-        self.counts[i] += v;
-    }
-
-    /// Lane-blocked element-wise add of `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket counts differ.
-    pub fn accumulate(&mut self, other: &HistogramBuckets) {
-        assert_eq!(self.len, other.len, "bucket count mismatch");
-        for (mine, theirs) in
-            self.counts.chunks_exact_mut(LANES).zip(other.counts.chunks_exact(LANES))
-        {
-            for k in 0..LANES {
-                mine[k] += theirs[k];
-            }
-        }
-    }
-
-    /// Zeroes every bucket.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-    }
-
-    /// Sum of all buckets, reduced as [`LANES`] independent partial sums.
-    pub fn sum(&self) -> u64 {
-        let mut acc = [0u64; LANES];
-        for chunk in self.counts.chunks_exact(LANES) {
-            for k in 0..LANES {
-                acc[k] += chunk[k];
-            }
-        }
-        acc.iter().sum()
-    }
-
-    /// Iterates `(index, count)` over nonzero buckets, skipping all-zero
-    /// stride blocks with a single lane-OR test per block — the common
-    /// case for sparse profiles, where most of the text was never
-    /// sampled. Padding is always zero, so indices past `len` never
-    /// surface.
-    pub fn iter_nonzero(&self) -> NonzeroBuckets<'_> {
-        NonzeroBuckets { counts: &self.counts, pos: 0 }
-    }
-}
-
-impl PartialEq for HistogramBuckets {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for HistogramBuckets {}
-
-/// Iterator over the nonzero buckets of a [`HistogramBuckets`], in
-/// index order. See [`HistogramBuckets::iter_nonzero`].
-#[derive(Debug, Clone)]
-pub struct NonzeroBuckets<'a> {
-    /// The padded counts array.
-    counts: &'a [u64],
-    pos: usize,
-}
-
-impl Iterator for NonzeroBuckets<'_> {
-    type Item = (usize, u64);
-
-    fn next(&mut self) -> Option<(usize, u64)> {
-        while self.pos < self.counts.len() {
-            if self.pos.is_multiple_of(LANES) {
-                // At a block boundary: skip whole zero blocks with one
-                // OR-reduction each (a vectorizable test).
-                while let Some(block) = self.counts.get(self.pos..self.pos + LANES) {
-                    if block.iter().fold(0u64, |a, &b| a | b) != 0 {
-                        break;
-                    }
-                    self.pos += LANES;
-                }
-            }
-            if self.pos >= self.counts.len() {
-                return None;
-            }
-            let i = self.pos;
-            self.pos += 1;
-            if self.counts[i] != 0 {
-                return Some((i, self.counts[i]));
-            }
-        }
-        None
-    }
-}
 
 /// A PC histogram over a text-segment address range.
 ///
@@ -195,7 +31,8 @@ pub struct Histogram {
     base: Addr,
     text_len: u32,
     shift: u8,
-    buckets: HistogramBuckets,
+    /// One count per bucket: exactly `bucket_count(text_len, shift)`.
+    counts: Vec<u64>,
     missed: u64,
 }
 
@@ -236,7 +73,7 @@ impl Histogram {
             base,
             text_len,
             shift,
-            buckets: HistogramBuckets::new(bucket_count(text_len, shift)),
+            counts: vec![0; bucket_count(text_len, shift)],
             missed: 0,
         }
     }
@@ -263,17 +100,12 @@ impl Histogram {
 
     /// Number of buckets.
     pub fn len(&self) -> usize {
-        self.buckets.len()
+        self.counts.len()
     }
 
     /// Returns `true` when the histogram covers no addresses.
     pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// The bucket layout itself, for callers that scan counts in bulk.
-    pub fn buckets(&self) -> &HistogramBuckets {
-        &self.buckets
+        self.counts.is_empty()
     }
 
     /// Records `ticks` samples at `pc`. Samples outside the covered range
@@ -282,7 +114,7 @@ impl Histogram {
     pub fn record(&mut self, pc: Addr, ticks: u64) {
         match pc.checked_sub(self.base) {
             Some(off) if off < self.text_len => {
-                self.buckets.add((off >> self.shift) as usize, ticks);
+                self.counts[(off >> self.shift) as usize] += ticks;
             }
             _ => self.missed += ticks,
         }
@@ -295,12 +127,13 @@ impl Histogram {
     /// cannot change the result — but the loop body is branch-light and
     /// bounds-check-free: one wrapping subtract, one compare, one
     /// unchecked indexed add per in-range sample. This is the sampler's
-    /// hot path under the machine's batched tick delivery.
+    /// hot path: `RuntimeProfiler` records the machine's buffered ticks
+    /// through it.
     pub fn record_batch(&mut self, samples: &[(Addr, u64)]) {
         let base = self.base.get();
         let text_len = self.text_len;
         let shift = self.shift;
-        let counts = &mut self.buckets.counts[..];
+        let counts = &mut self.counts[..];
         let mut missed = 0u64;
         for &(pc, ticks) in samples {
             // `pc < base` wraps to `off >= 2^32 - base > text_len` (the
@@ -311,8 +144,10 @@ impl Histogram {
             if off < text_len {
                 let idx = (off >> shift) as usize;
                 // SAFETY: `off < text_len` implies
-                // `idx <= (text_len - 1) >> shift < bucket_count`, and the
-                // backing array is at least `bucket_count` long.
+                // `idx <= (text_len - 1) >> shift < bucket_count`, and
+                // `counts` holds exactly `bucket_count` entries (`new`
+                // allocates that many, `from_parts` rejects any other
+                // length, and nothing resizes it).
                 unsafe { *counts.get_unchecked_mut(idx) += ticks };
             } else {
                 missed += ticks;
@@ -327,12 +162,12 @@ impl Histogram {
     ///
     /// Panics if `i` is out of range.
     pub fn count(&self, i: usize) -> u64 {
-        self.buckets.as_slice()[i]
+        self.counts[i]
     }
 
     /// Raw bucket counts.
     pub fn counts(&self) -> &[u64] {
-        self.buckets.as_slice()
+        &self.counts
     }
 
     /// The address range `[start, end)` covered by bucket `i` (clamped to
@@ -342,7 +177,7 @@ impl Histogram {
     ///
     /// Panics if `i` is out of range.
     pub fn bucket_range(&self, i: usize) -> (Addr, Addr) {
-        assert!(i < self.buckets.len(), "bucket {i} out of range");
+        assert!(i < self.counts.len(), "bucket {i} out of range");
         // In `u64` throughout: `(i + 1) << shift` can reach 2^63 before
         // the clamp, and the clamped offsets fit `u32` because the
         // constructor guarantees `base + text_len` does not wrap.
@@ -353,7 +188,7 @@ impl Histogram {
 
     /// Total samples that landed in the covered range.
     pub fn total(&self) -> u64 {
-        self.buckets.sum()
+        self.counts.iter().sum()
     }
 
     /// Samples outside the covered range.
@@ -363,12 +198,12 @@ impl Histogram {
 
     /// Iterates over `(bucket_index, count)` for nonzero buckets.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.buckets.iter_nonzero()
+        self.counts.iter().enumerate().filter(|&(_, &c)| c != 0).map(|(i, &c)| (i, c))
     }
 
     /// Clears all counts (the control interface's "reset").
     pub fn reset(&mut self) {
-        self.buckets.clear();
+        self.counts.fill(0);
         self.missed = 0;
     }
 
@@ -390,7 +225,10 @@ impl Histogram {
         if self.shift != other.shift {
             return Err(format!("histogram shift {} != {}", self.shift, other.shift));
         }
-        self.buckets.accumulate(&other.buckets);
+        // Equal shapes have equal bucket counts.
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
         self.missed += other.missed;
         Ok(())
     }
@@ -414,13 +252,7 @@ impl Histogram {
         if counts.len() != expected {
             return Err(format!("histogram has {} buckets, expected {expected}", counts.len()));
         }
-        Ok(Histogram {
-            base,
-            text_len,
-            shift,
-            buckets: HistogramBuckets::from_counts(counts),
-            missed,
-        })
+        Ok(Histogram { base, text_len, shift, counts, missed })
     }
 }
 
@@ -515,20 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_nonzero_crosses_lane_blocks() {
-        // Sparse counts straddling several stride blocks, including a
-        // fully-zero middle block the scan must skip silently.
-        let mut h = Histogram::new(BASE, LANES as u32 * 4, 0);
-        let hits = [0usize, LANES - 1, 2 * LANES + 3, 4 * LANES - 1];
-        for &i in &hits {
-            h.record(BASE.offset(i as u32), i as u64 + 1);
-        }
-        let nz: Vec<_> = h.iter_nonzero().collect();
-        let expected: Vec<_> = hits.iter().map(|&i| (i, i as u64 + 1)).collect();
-        assert_eq!(nz, expected);
-    }
-
-    #[test]
     fn from_parts_validates_bucket_count() {
         assert!(Histogram::from_parts(BASE, 8, 0, vec![0; 8], 0).is_ok());
         assert!(Histogram::from_parts(BASE, 8, 0, vec![0; 7], 0).is_err());
@@ -608,25 +426,5 @@ mod tests {
     #[should_panic(expected = "overflows the address space")]
     fn overflowing_range_is_rejected_at_construction() {
         let _ = Histogram::new(Addr::new(u32::MAX - 15), 17, 4);
-    }
-
-    #[test]
-    fn bucket_layout_pads_to_the_stride() {
-        let b = HistogramBuckets::new(3);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.as_slice(), &[0, 0, 0]);
-        let b = HistogramBuckets::from_counts(vec![1; LANES + 1]);
-        assert_eq!(b.len(), LANES + 1);
-        assert_eq!(b.sum(), LANES as u64 + 1);
-    }
-
-    #[test]
-    fn bucket_accumulate_matches_scalar_add() {
-        let mut a = HistogramBuckets::from_counts((0..19u64).collect());
-        let b = HistogramBuckets::from_counts((0..19u64).map(|x| x * 10).collect());
-        a.accumulate(&b);
-        let expected: Vec<u64> = (0..19u64).map(|x| x * 11).collect();
-        assert_eq!(a.as_slice(), &expected[..]);
-        assert_eq!(a.sum(), expected.iter().sum::<u64>());
     }
 }

@@ -39,7 +39,7 @@ pub use arcs::{ArcRecorder, ArcStats, CallSiteTable, CalleeTable, RawArc};
 pub use control::{KgmonTool, SharedProfiler};
 pub use delta::{apply_delta, encode_delta, DeltaError};
 pub use gmon::{GmonData, GmonError, SalvageReport, MIN_SALVAGE_LEN};
-pub use histogram::{Histogram, HistogramBuckets};
+pub use histogram::Histogram;
 pub use profiler::{MonitorCosts, RuntimeProfiler};
 pub use reference::ScalarHistogram;
 pub use stacks::{StackEdge, StackProfiler, StackReport, StackRow};

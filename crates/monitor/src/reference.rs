@@ -1,7 +1,7 @@
 //! Frozen scalar reference implementations for differential testing.
 //!
-//! The monitoring hot paths (histogram recording, batched tick delivery)
-//! are optimized under a strict contract:
+//! The monitoring hot paths (bulk histogram recording, buffered tick
+//! delivery) are optimized under a strict contract:
 //! they must be byte-identical to the straightforward scalar code they
 //! replaced. This module keeps that scalar code alive — verbatim, one
 //! branch per sample, `Vec` indexing with bounds checks — so the
@@ -20,8 +20,8 @@ use crate::histogram::Histogram;
 /// checked-subtract branch and one bounds-checked index per sample.
 ///
 /// Mirrors the original `Histogram` recording semantics exactly; convert
-/// with [`ScalarHistogram::to_histogram`] to compare against the
-/// optimized layout.
+/// with [`ScalarHistogram::to_histogram`] to compare against
+/// [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarHistogram {
     base: Addr,

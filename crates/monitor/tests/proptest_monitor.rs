@@ -7,7 +7,8 @@ use proptest::prelude::*;
 
 use graphprof_machine::Addr;
 use graphprof_monitor::{
-    ArcRecorder, CallSiteTable, CalleeTable, GmonData, Histogram, RawArc, MIN_SALVAGE_LEN,
+    ArcRecorder, CallSiteTable, CalleeTable, GmonData, Histogram, RawArc, ScalarHistogram,
+    MIN_SALVAGE_LEN,
 };
 
 const BASE: u32 = 0x1000;
@@ -178,7 +179,9 @@ proptest! {
     /// The bulk hot path is the scalar path: for any shape and any pc
     /// stream, one `record_batch` call — or the same stream chopped into
     /// arbitrary chunks, as the machine delivers it — leaves the histogram
-    /// exactly where a fold of `record` does, and conserves every tick.
+    /// exactly where a fold of `record` does and where the frozen
+    /// `ScalarHistogram` does, conserves every tick, and its nonzero scan
+    /// yields exactly the nonzero counts, in order.
     #[test]
     fn record_batch_equals_fold_of_record(
         shape in arb_shape(),
@@ -200,11 +203,22 @@ proptest! {
             chunked.record_batch(piece);
         }
 
+        let mut scalar = ScalarHistogram::new(Addr::new(base), text_len, shift);
+        for &(pc, ticks) in &samples {
+            scalar.record(pc, ticks);
+        }
+
         prop_assert_eq!(&batched, &folded);
         prop_assert_eq!(&chunked, &folded);
         prop_assert_eq!(batched.missed(), folded.missed());
+        prop_assert_eq!(batched.counts(), scalar.counts());
+        prop_assert_eq!(batched.total(), scalar.total());
+        prop_assert_eq!(batched.missed(), scalar.missed());
         let delivered: u64 = samples.iter().map(|&(_, t)| t).sum();
         prop_assert_eq!(batched.total() + batched.missed(), delivered);
+        let nonzero: Vec<(usize, u64)> =
+            batched.counts().iter().copied().enumerate().filter(|&(_, c)| c != 0).collect();
+        prop_assert_eq!(batched.iter_nonzero().collect::<Vec<_>>(), nonzero);
     }
 
     /// Histogram merging is associative for any shape, and conserves both

@@ -1,18 +1,18 @@
 //! Differential suite for the monitoring hot paths.
 //!
 //! The optimized paths — `Histogram::record_batch`, the machine's
-//! batched tick delivery (`MachineConfig::tick_batch`) and the
-//! interpreter's predecode cache (`MachineConfig::predecode`) — are all
-//! governed by one contract: **they never change an output byte**. This
-//! suite enforces the contract end to end by running real workloads twice:
+//! buffered tick delivery and the interpreter's predecode cache
+//! (`MachineConfig::predecode`) — are all governed by one contract:
+//! **they never change an output byte**. This suite enforces the
+//! contract end to end by running real workloads twice:
 //!
 //! * once under a *reference profiler* built from the frozen scalar
-//!   pieces (`ScalarHistogram`, the plain probe, per-sample tick
-//!   delivery with `tick_batch = 1`, decode on demand), charging exactly
-//!   the costs the seed's `RuntimeProfiler` charged;
-//! * once under the shipping `RuntimeProfiler` across a matrix of
-//!   hot-path knobs (batch sizes, predecode on and off, shifts,
-//!   tick granularities);
+//!   pieces (`ScalarHistogram`, the plain probe, per-sample recording
+//!   through the default in-order `on_tick_batch` fold, decode on
+//!   demand), charging exactly the costs the seed's `RuntimeProfiler`
+//!   charged;
+//! * once under the shipping `RuntimeProfiler` with predecoding on and
+//!   off, across shifts and tick granularities;
 //!
 //! and asserting the `gmon.out` bytes and the rendered listings are
 //! identical. Any scheduling-only optimization that leaks into observable
@@ -96,50 +96,49 @@ impl ProfilingHooks for ReferenceProfiler {
             self.histogram.record(pc, ticks);
         }
     }
-    // No on_tick_batch override: the reference runs with tick_batch = 1,
-    // and if a batch ever reaches it the default in-order fold is itself
-    // part of the contract under test.
+    // No on_tick_batch override: the default in-order fold through
+    // on_tick is itself part of the contract under test.
 }
 
-/// One knob setting of the optimized pipeline.
-#[derive(Clone, Copy, Debug)]
-struct Knobs {
-    tick_batch: usize,
-    predecode: bool,
-}
+/// The predecode settings of the optimized pipeline, its only hot-path
+/// knob.
+const KNOB_MATRIX: [bool; 2] = [true, false];
 
-const KNOB_MATRIX: &[Knobs] = &[
-    Knobs { tick_batch: 1, predecode: true },
-    Knobs { tick_batch: 64, predecode: true },
-    Knobs { tick_batch: 64, predecode: false },
-    Knobs { tick_batch: 7, predecode: true },
-    Knobs { tick_batch: 1 << 20, predecode: true },
-];
-
-fn profile_reference(exe: &Executable, tick: u64, shift: u8) -> GmonData {
+fn profile_reference(
+    exe: &Executable,
+    tick: u64,
+    shift: u8,
+    range: Option<(Addr, Addr)>,
+) -> GmonData {
     let config = MachineConfig {
         cycles_per_tick: tick,
         collect_ground_truth: false,
-        tick_batch: 1,
         predecode: false,
         ..MachineConfig::default()
     };
     let mut machine = Machine::with_config(exe.clone(), config);
     let mut hooks = ReferenceProfiler::new(exe, tick, shift);
+    hooks.range = range;
     machine.run(&mut hooks).expect("reference run halts");
     hooks.finish()
 }
 
-fn profile_optimized(exe: &Executable, tick: u64, shift: u8, knobs: Knobs) -> GmonData {
+fn profile_optimized(
+    exe: &Executable,
+    tick: u64,
+    shift: u8,
+    predecode: bool,
+    range: Option<(Addr, Addr)>,
+) -> GmonData {
     let config = MachineConfig {
         cycles_per_tick: tick,
         collect_ground_truth: false,
-        tick_batch: knobs.tick_batch,
-        predecode: knobs.predecode,
+        predecode,
         ..MachineConfig::default()
     };
     let mut machine = Machine::with_config(exe.clone(), config);
     let mut profiler = RuntimeProfiler::with_granularity(exe, tick, shift);
+    profiler.set_monitor_range(range);
     machine.run(&mut profiler).expect("optimized run halts");
     profiler.finish()
 }
@@ -175,21 +174,21 @@ fn workloads() -> Vec<(&'static str, Program)> {
     ]
 }
 
-/// The tentpole contract: every knob combination writes the reference's
-/// bytes, at every shift and tick granularity, for paper and synthetic
-/// workloads alike (text lengths here are not multiples of the lane
-/// stride, so the padded tail is exercised throughout).
+/// The tentpole contract: predecoding on and off both write the
+/// reference's bytes, at every shift and tick granularity, for paper and
+/// synthetic workloads alike (text lengths here are arbitrary, so the
+/// last bucket is often a partial one).
 #[test]
 fn gmon_bytes_match_reference_across_the_knob_matrix() {
     for (name, program) in workloads() {
         let exe = program.compile(&CompileOptions::profiled()).expect("compiles");
         for &(tick, shift) in &[(1u64, 0u8), (1, 3), (7, 0), (7, 1), (7, 7)] {
-            let reference = profile_reference(&exe, tick, shift).to_bytes();
-            for &knobs in KNOB_MATRIX {
-                let optimized = profile_optimized(&exe, tick, shift, knobs).to_bytes();
+            let reference = profile_reference(&exe, tick, shift, None).to_bytes();
+            for predecode in KNOB_MATRIX {
+                let optimized = profile_optimized(&exe, tick, shift, predecode, None).to_bytes();
                 assert_eq!(
                     optimized, reference,
-                    "{name}: tick {tick} shift {shift} {knobs:?} diverged from reference"
+                    "{name}: tick {tick} shift {shift} predecode {predecode} diverged from reference"
                 );
             }
         }
@@ -203,44 +202,31 @@ fn rendered_listings_match_reference() {
     for (name, program) in workloads() {
         let exe = program.compile(&CompileOptions::profiled()).expect("compiles");
         let tick = if name == "figure4" { 1 } else { 7 };
-        let reference = profile_reference(&exe, tick, 0);
+        let reference = profile_reference(&exe, tick, 0, None);
         let ref_listings = listings(&analyze(&exe, &reference, Options::default()));
-        for &knobs in
-            &[Knobs { tick_batch: 64, predecode: true }, Knobs { tick_batch: 5, predecode: false }]
-        {
-            let optimized = profile_optimized(&exe, tick, 0, knobs);
+        for predecode in KNOB_MATRIX {
+            let optimized = profile_optimized(&exe, tick, 0, predecode, None);
             assert_eq!(optimized.to_bytes(), reference.to_bytes(), "{name}: bytes");
             let optimized = listings(&analyze(&exe, &optimized, Options::default()));
-            assert_eq!(optimized, ref_listings, "{name}: listings {knobs:?}");
+            assert_eq!(optimized, ref_listings, "{name}: listings, predecode {predecode}");
         }
     }
 }
 
 /// The moncontrol(3) path: a restricted monitor range must filter the
-/// same samples whether ticks arrive one at a time or in batches.
+/// buffered samples, one enabled/range decision per batch, exactly as the
+/// reference filters them one at a time.
 #[test]
 fn monitor_range_filters_identically_under_batching() {
     let exe = paper::kernel_program(6).compile(&CompileOptions::profiled()).expect("compiles");
     let (_, sym) = exe.symbols().iter().nth(1).expect("a routine to restrict to");
-    let range = (sym.addr(), sym.end());
-
-    let run = |tick_batch: usize| {
-        let config = MachineConfig {
-            cycles_per_tick: 7,
-            collect_ground_truth: false,
-            tick_batch,
-            ..MachineConfig::default()
-        };
-        let mut machine = Machine::with_config(exe.clone(), config);
-        let mut profiler = RuntimeProfiler::with_granularity(&exe, 7, 0);
-        profiler.set_monitor_range(Some(range));
-        machine.run(&mut profiler).expect("halts");
-        profiler.finish().to_bytes()
-    };
-
-    let baseline = run(1);
-    assert_eq!(run(64), baseline);
-    assert_eq!(run(3), baseline);
+    let range = Some((sym.addr(), sym.end()));
+    let reference = profile_reference(&exe, 7, 0, range);
+    assert!(reference.histogram().total() > 0, "the restricted routine takes samples");
+    for predecode in KNOB_MATRIX {
+        let optimized = profile_optimized(&exe, 7, 0, predecode, range);
+        assert_eq!(optimized.to_bytes(), reference.to_bytes(), "predecode {predecode}");
+    }
 }
 
 /// FNV-1a-64 over the concatenation of `chunks`.
