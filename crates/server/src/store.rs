@@ -89,6 +89,9 @@ pub enum RejectReason {
     Unmergeable(String),
     /// This (series, seq) pair was already uploaded.
     DuplicateSeq(u64),
+    /// A store-assigned upload found no free seq: every one from the
+    /// series' next auto seq up to `u64::MAX` is taken.
+    SeqExhausted,
     /// Creating the series would exceed the server's series limit.
     TooManySeries {
         /// The configured cap.
@@ -121,6 +124,7 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::Unmergeable(e) => write!(f, "profile does not merge: {e}"),
             RejectReason::DuplicateSeq(seq) => write!(f, "sequence number {seq} already uploaded"),
+            RejectReason::SeqExhausted => write!(f, "no free sequence number is left"),
             RejectReason::TooManySeries { max } => {
                 write!(f, "series limit reached ({max} series)")
             }
@@ -292,7 +296,8 @@ impl StripeState {
         }
         entry.shadow = Some((seq, window));
         entry.seen_seqs.insert(seq);
-        entry.next_auto_seq = entry.next_auto_seq.max(seq + 1);
+        // Saturates: a fold of seq `u64::MAX` leaves no seq above it.
+        entry.next_auto_seq = entry.next_auto_seq.max(seq.saturating_add(1));
         entry.stats.uploads += 1;
         entry.stats.bytes += bytes;
         if !flags.is_empty() {
@@ -803,7 +808,9 @@ impl SeriesStore {
     ///
     /// # Errors
     ///
-    /// Returns a [`RejectReason`] like [`SeriesStore::upload`].
+    /// Returns a [`RejectReason`] like [`SeriesStore::upload`], or
+    /// [`RejectReason::SeqExhausted`] when every seq from the series'
+    /// next one up is taken.
     pub fn upload_auto_seq(&self, series: &str, blob: &[u8]) -> Result<(u64, u64), RejectReason> {
         let seq = {
             let shared = &self.stripes[self.stripe_of(series)];
@@ -816,7 +823,9 @@ impl SeriesStore {
         loop {
             match self.upload(series, seq, blob) {
                 Ok(total) => return Ok((seq, total)),
-                Err(RejectReason::DuplicateSeq(_)) => seq += 1,
+                Err(RejectReason::DuplicateSeq(_)) => {
+                    seq = seq.checked_add(1).ok_or(RejectReason::SeqExhausted)?;
+                }
                 Err(other) => return Err(other),
             }
         }
@@ -1471,6 +1480,41 @@ mod tests {
         assert_eq!((seq, total), (6, 2));
         let (seq, _) = store.upload_auto_seq("fresh", &blob).unwrap();
         assert_eq!(seq, 0);
+    }
+
+    /// The largest seq is an ordinary upload: it folds once, its retry is
+    /// a duplicate, the stripe keeps accepting uploads, in memory and
+    /// durable, replay rebuilds the same aggregate, and no auto seq is
+    /// left above it.
+    #[test]
+    fn the_largest_seq_folds_and_leaves_no_auto_seq() {
+        let exe = exe();
+        let blob = blob(&exe);
+        let dir = tmpdir("max-seq");
+        let check = |store: &SeriesStore| {
+            assert_eq!(store.upload("web", u64::MAX, &blob), Ok(1));
+            assert_eq!(
+                store.upload("web", u64::MAX, &blob),
+                Err(RejectReason::DuplicateSeq(u64::MAX))
+            );
+            assert_eq!(store.upload("web", 7, &blob), Ok(2));
+            assert_eq!(store.upload_auto_seq("web", &blob), Err(RejectReason::SeqExhausted));
+            let stats = store.stats("web").unwrap();
+            assert_eq!((stats.uploads, stats.bytes), (2, 2 * blob.len() as u64));
+            store.aggregate("web").unwrap().to_bytes()
+        };
+        let in_memory = check(&SeriesStore::new(exe.clone(), 8));
+        {
+            let (store, _) = SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap();
+            assert_eq!(check(&store), in_memory);
+        }
+        let (store, recovery) = SeriesStore::open(exe, &dir, durable_opts(1)).unwrap();
+        assert_eq!(recovery.records(), 2);
+        assert_eq!(store.aggregate("web").unwrap().to_bytes(), in_memory);
+        assert_eq!(store.upload_auto_seq("web", &blob), Err(RejectReason::SeqExhausted));
+        assert_eq!(store.upload("web", u64::MAX, &blob), Err(RejectReason::DuplicateSeq(u64::MAX)));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A program long enough to slice into many profile windows.

@@ -81,6 +81,8 @@ enum Seq {
     Retry(usize),
     /// An unfolded seq below the series' newest one (out of order).
     Gap(usize),
+    /// `u64::MAX`, the largest seq the protocol carries.
+    Max,
 }
 
 #[derive(Debug, Clone)]
@@ -113,6 +115,7 @@ fn arb_seq() -> impl Strategy<Value = Seq> {
         Just(Seq::Fresh),
         (0usize..16).prop_map(Seq::Retry),
         (0usize..16).prop_map(Seq::Gap),
+        Just(Seq::Max),
     ]
 }
 
@@ -173,6 +176,7 @@ impl Model {
     fn pick_seq(&mut self, series: usize, seq: Seq) -> u64 {
         let s = &self.series[series];
         let candidates: Vec<u64> = match seq {
+            Seq::Max => return u64::MAX,
             Seq::Fresh => Vec::new(),
             Seq::Retry(_) => s.accepted.iter().map(|&(q, _)| q).collect(),
             Seq::Gap(_) => (0..self.next_seq[series]).filter(|&q| !s.seen(q)).collect(),
@@ -359,7 +363,8 @@ fn run(tag: &str, stripes: usize, ops: &[Op]) {
                 let seq = model.pick_seq(series, seq);
                 let (base, from) = match model.series[series].last() {
                     Some((q, w)) if !stale => (q, w),
-                    last => (last.map_or(1, |(q, _)| q + 1), 0),
+                    // Any base but the last seq; past `u64::MAX` it wraps to 0.
+                    last => (last.map_or(1, |(q, _)| q.wrapping_add(1)), 0),
                 };
                 let body = encode_delta(&c.windows[from], &c.windows[window]).expect("encodes");
                 let got = live.upload_delta(SERIES[series], base, seq, &body);
