@@ -537,12 +537,11 @@ pub fn regress(args: &Args) -> Result<RegressOutcome, CliError> {
         let paths = expand_gmon_paths(std::slice::from_ref(raw))?;
         let mut merged: Option<Gmon> = None;
         for path in &paths {
-            let gmon = Gmon::from_bytes(&read(path)?)?;
+            let refused = |source| CliError::Profile { path: path.clone(), source };
+            let gmon = Gmon::from_bytes(&read(path)?).map_err(refused)?;
             match merged.as_mut() {
                 None => merged = Some(gmon),
-                Some(sum) => sum.merge(&gmon).map_err(|e| {
-                    CliError::Usage(format!("cannot sum `{path}` into the side: {e}"))
-                })?,
+                Some(sum) => sum.merge(&gmon).map_err(refused)?,
             }
         }
         Ok((merged.expect("expansion is never empty"), paths.len() as u64))

@@ -600,6 +600,51 @@ fn summation_errors_name_the_first_failing_file() {
     }
 }
 
+/// A profile whose counts sum past `u64::MAX`, alone or summed with
+/// another, is refused by name (exit 1): nothing wraps or panics.
+#[test]
+fn profiles_whose_counts_overflow_are_refused_by_name() {
+    let dir = TempDir::new("overflow");
+    let (exe, gmon) = straight_profile(&dir);
+    let bytes = fs::read(&gmon).expect("read profile");
+    let nbuckets = u32::from_le_bytes(bytes[36..40].try_into().unwrap()) as usize;
+    let first_arc = 40 + nbuckets * 8 + 4;
+    // Writes `bytes` with the u64s at the given offsets replaced.
+    let crafted = |name: &str, edits: &[(usize, u64)]| {
+        let mut b = bytes.clone();
+        for &(at, value) in edits {
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        }
+        let path = dir.path(name);
+        fs::write(&path, b).expect("write profile");
+        path
+    };
+    let half = 1 << 63;
+    let buckets = crafted("buckets.out", &[(40, half), (48, half)]);
+    let arcs = crafted("arcs.out", &[(first_arc + 8, half), (first_arc + 24, half)]);
+    // One bucket of 2^64 - 3 and no other samples: it fits alone only.
+    let mut edits: Vec<(usize, u64)> = (0..nbuckets).map(|i| (40 + i * 8, 0)).collect();
+    edits[0].1 = u64::MAX - 2;
+    let big = crafted("big.1", &edits);
+    let big_again = crafted("big.2", &edits);
+    let refused = |args: &[&str], path: &str| {
+        let out = run_bin("graphprof", args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(&format!("{path}: ")), "{args:?}: {}", stderr(&out));
+    };
+    for bad in [&buckets, &arcs] {
+        refused(&["regress", &exe, &gmon, bad], bad);
+        refused(&[&exe, &gmon, bad, "--brief"], bad);
+        let out = run_bin("graphprof", &["check", &exe, bad]);
+        assert_eq!(out.status.code(), Some(1), "check {bad}: {}", stderr(&out));
+    }
+    let sum = dir.path("sum.out");
+    refused(&[&exe, &big, &big, "--sum", &sum], &big);
+    assert!(!Path::new(&sum).exists(), "a refused sum was written");
+    refused(&["regress", &exe, &gmon, &dir.path("big.?")], &big_again);
+    assert!(run_bin("graphprof", &["regress", &exe, &big, &big_again]).status.success());
+}
+
 #[test]
 fn analyze_gates_with_configurable_rules() {
     let dir = TempDir::new("analyzegate");

@@ -276,7 +276,13 @@ mod tests {
         acc.push(profile(3, 7)).unwrap();
         let odd = GmonData::new(99, Histogram::new(Addr::new(0x1000), 32, 0), vec![]);
         assert!(matches!(acc.push(odd), Err(AnalyzeError::Gmon(_))));
-        // The reject left the sum untouched and the accumulator usable.
+        // Counts that fit alone but not in the sum are refused as well.
+        let overflowing = profile(u64::MAX - 2, 1);
+        assert!(matches!(
+            acc.push(overflowing),
+            Err(AnalyzeError::Gmon(GmonError::MergeOverflow { .. }))
+        ));
+        // The rejects left the sum untouched and the accumulator usable.
         assert_eq!(acc.count(), 1);
         assert_eq!(acc.aggregate().unwrap(), profile(3, 7));
         acc.push(profile(1, 1)).unwrap();

@@ -27,7 +27,7 @@ const OP_DECCTRJNZ: u8 = 0x0e;
 /// Returns the encoded size of an instruction in bytes.
 ///
 /// Sizes are fixed per opcode and never depend on operand values.
-pub fn encoded_len(inst: Instruction) -> u32 {
+pub const fn encoded_len(inst: Instruction) -> u32 {
     match inst {
         Instruction::Work(_) => 5,
         Instruction::Call(_) => 5,

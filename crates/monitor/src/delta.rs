@@ -47,7 +47,7 @@ use std::fmt;
 use graphprof_machine::Addr;
 
 use crate::arcs::RawArc;
-use crate::gmon::GmonData;
+use crate::gmon::{tally, GmonData, ARC_OVERFLOW, BUCKET_OVERFLOW};
 use crate::histogram::Histogram;
 
 const MAGIC: &[u8; 4] = b"GPRD";
@@ -386,6 +386,10 @@ pub fn apply_delta(base: &GmonData, body: &[u8]) -> Result<GmonData, DeltaError>
     }
 
     let counts = apply_count_deltas(bh.counts(), &mut cur)?;
+    let mut total = 0;
+    if !counts.iter().all(|&c| tally(&mut total, c)) {
+        return Err(corrupt(BUCKET_OVERFLOW));
+    }
     let histogram = Histogram::from_parts(bh.base(), bh.text_len(), bh.shift(), counts, missed)
         .map_err(corrupt)?;
 
@@ -448,30 +452,34 @@ pub fn apply_delta(base: &GmonData, body: &[u8]) -> Result<GmonData, DeltaError>
     // delta does not describe a well-formed window.
     let mut arcs = Vec::with_capacity(survivors.len() + added.len());
     let mut last: Option<(Addr, Addr)> = None;
-    let push = |arc: RawArc, last: &mut Option<(Addr, Addr)>, arcs: &mut Vec<RawArc>| {
+    let mut total = 0;
+    let mut push = |arc: RawArc| {
         let key = arc_key(&arc);
         if last.is_some_and(|p| p >= key) {
             return Err(corrupt("arcs out of order or duplicated after delta"));
         }
-        *last = Some(key);
+        if !tally(&mut total, arc.count) {
+            return Err(corrupt(ARC_OVERFLOW));
+        }
+        last = Some(key);
         arcs.push(arc);
         Ok(())
     };
     let (mut i, mut j) = (0, 0);
     while i < survivors.len() && j < added.len() {
         if arc_key(&survivors[i]) <= arc_key(&added[j]) {
-            push(survivors[i], &mut last, &mut arcs)?;
+            push(survivors[i])?;
             i += 1;
         } else {
-            push(added[j], &mut last, &mut arcs)?;
+            push(added[j])?;
             j += 1;
         }
     }
     for &arc in &survivors[i..] {
-        push(arc, &mut last, &mut arcs)?;
+        push(arc)?;
     }
     for &arc in &added[j..] {
-        push(arc, &mut last, &mut arcs)?;
+        push(arc)?;
     }
 
     Ok(GmonData::new(cycles_per_tick, histogram, arcs).with_dropped_arcs(dropped))
@@ -662,6 +670,18 @@ mod tests {
         put_varint(&mut body, u64::from(arc.self_pc.get()));
         put_varint(&mut body, 1);
         assert!(matches!(apply_delta(&base, &body), Err(DeltaError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn deltas_whose_counts_sum_past_u64_max_are_corrupt() {
+        // Each window's counts fit; the next one's would not.
+        let base = window(&[], &[(0x1010, 0x1080, u64::MAX - 1), (0x1044, 0x10c0, 1)], 0);
+        let arcs = window(&[], &[(0x1010, 0x1080, u64::MAX - 1), (0x1044, 0x10c0, 2)], 0);
+        let buckets = window(&[(0x1004, u64::MAX), (0x1050, 1)], &[], 0);
+        for (next, reason) in [(arcs, ARC_OVERFLOW), (buckets, BUCKET_OVERFLOW)] {
+            let body = encode_delta(&base, &next).unwrap();
+            assert_eq!(apply_delta(&base, &body), Err(corrupt(reason)));
+        }
     }
 
     #[test]

@@ -84,6 +84,11 @@ pub enum GmonError {
         /// Description of the mismatching field.
         reason: String,
     },
+    /// Two profiles merge into counts that would pass `u64::MAX`.
+    MergeOverflow {
+        /// Which counts would overflow.
+        reason: String,
+    },
 }
 
 impl fmt::Display for GmonError {
@@ -98,11 +103,34 @@ impl fmt::Display for GmonError {
             GmonError::MergeMismatch { reason } => {
                 write!(f, "profiles are not from the same executable: {reason}")
             }
+            GmonError::MergeOverflow { reason } => write!(f, "profiles do not sum: {reason}"),
         }
     }
 }
 
 impl Error for GmonError {}
+
+/// Why a profile, or a sum of two, is refused when its bucket counts or
+/// its arc counts pass `u64::MAX`.
+pub(crate) const BUCKET_OVERFLOW: &str = "bucket counts sum past u64::MAX";
+pub(crate) const ARC_OVERFLOW: &str = "arc counts sum past u64::MAX";
+
+/// Adds one bucket or arc count to `total`, the running sum of a
+/// profile's counts of that kind, and returns whether it still fits;
+/// `total` is left as it was when it would pass `u64::MAX`.
+///
+/// Decoding refuses a profile whose bucket counts or arc counts sum past
+/// `u64::MAX`, and merging refuses a sum that would, so every total taken
+/// over one profile (histogram totals, per-routine call counts) fits.
+pub(crate) fn tally(total: &mut u64, count: u64) -> bool {
+    match total.checked_add(count) {
+        Some(sum) => {
+            *total = sum;
+            true
+        }
+        None => false,
+    }
+}
 
 /// The contents of one profile file: a PC histogram plus call graph arcs.
 ///
@@ -245,8 +273,13 @@ impl GmonData {
         let nbuckets = data.get_u32_le() as usize;
         need(data, nbuckets * 8)?;
         let mut buckets = Vec::with_capacity(nbuckets);
+        let mut total = 0;
         for _ in 0..nbuckets {
-            buckets.push(data.get_u64_le());
+            let count = data.get_u64_le();
+            if !tally(&mut total, count) {
+                return Err(GmonError::Corrupt { reason: BUCKET_OVERFLOW.to_string() });
+            }
+            buckets.push(count);
         }
         let histogram = Histogram::from_parts(base, text_len, shift, buckets, missed)
             .map_err(|reason| GmonError::Corrupt { reason })?;
@@ -255,6 +288,7 @@ impl GmonData {
         need(data, narcs * 16)?;
         let mut arcs = Vec::with_capacity(narcs);
         let mut prev: Option<(Addr, Addr)> = None;
+        let mut total = 0;
         for _ in 0..narcs {
             let from_pc = Addr::new(data.get_u32_le());
             let self_pc = Addr::new(data.get_u32_le());
@@ -265,6 +299,9 @@ impl GmonData {
                         reason: "arcs out of order or duplicated".to_string(),
                     });
                 }
+            }
+            if !tally(&mut total, count) {
+                return Err(GmonError::Corrupt { reason: ARC_OVERFLOW.to_string() });
             }
             prev = Some((from_pc, self_pc));
             arcs.push(RawArc { from_pc, self_pc, count });
@@ -297,7 +334,11 @@ impl GmonData {
     /// # Errors
     ///
     /// Returns [`GmonError::MergeMismatch`] when the profiles disagree on
-    /// text range, histogram granularity, or sampling period.
+    /// text range, histogram granularity, or sampling period, and
+    /// [`GmonError::MergeOverflow`] when the merged bucket total,
+    /// arc-count total, missed samples or dropped arcs would pass
+    /// `u64::MAX`. Everything is checked before anything is written, so
+    /// an error leaves `self` untouched.
     pub fn merge(&mut self, other: &GmonData) -> Result<(), GmonError> {
         if self.cycles_per_tick != other.cycles_per_tick {
             return Err(GmonError::MergeMismatch {
@@ -307,9 +348,17 @@ impl GmonData {
                 ),
             });
         }
-        self.histogram
-            .merge(&other.histogram)
-            .map_err(|reason| GmonError::MergeMismatch { reason })?;
+        self.histogram.check_merge(&other.histogram)?;
+        let overflow = |reason: &str| GmonError::MergeOverflow { reason: reason.to_string() };
+        let mut total = 0;
+        if !self.arcs.iter().chain(&other.arcs).all(|a| tally(&mut total, a.count)) {
+            return Err(overflow(ARC_OVERFLOW));
+        }
+        let dropped_arcs = self
+            .dropped_arcs
+            .checked_add(other.dropped_arcs)
+            .ok_or_else(|| overflow("dropped arcs sum past u64::MAX"))?;
+        self.histogram.add(&other.histogram);
         // Merge sorted arc lists, summing counts of equal arcs.
         let mut merged = Vec::with_capacity(self.arcs.len() + other.arcs.len());
         let (mut i, mut j) = (0, 0);
@@ -336,7 +385,7 @@ impl GmonData {
         merged.extend_from_slice(&self.arcs[i..]);
         merged.extend_from_slice(&other.arcs[j..]);
         self.arcs = merged;
-        self.dropped_arcs += other.dropped_arcs;
+        self.dropped_arcs = dropped_arcs;
         Ok(())
     }
 
@@ -414,12 +463,20 @@ impl GmonData {
         }
         let keep = expected.min(cur.remaining() / 8);
         let mut buckets = Vec::with_capacity(expected);
-        for _ in 0..keep {
-            buckets.push(cur.get_u64_le());
+        let mut bucket_sum = 0;
+        let mut bad_record_bytes = 0usize;
+        for i in 0..keep {
+            let count = cur.get_u64_le();
+            if !tally(&mut bucket_sum, count) {
+                note(&mut report, format!("{BUCKET_OVERFLOW} at bucket {i} of {expected}"));
+                bad_record_bytes = 8 + cur.remaining();
+                break;
+            }
+            buckets.push(count);
         }
-        if keep < expected {
+        if buckets.len() < expected {
             note(&mut report, format!("histogram truncated: {keep} of {expected} buckets"));
-            report.buckets_zeroed = expected - keep;
+            report.buckets_zeroed = expected - buckets.len();
             buckets.resize(expected, 0);
             // Anything after a torn histogram is unaligned junk.
             cur.advance(cur.remaining());
@@ -428,10 +485,10 @@ impl GmonData {
             .map_err(|reason| GmonError::Corrupt { reason })?;
 
         let mut arcs = Vec::new();
-        let mut bad_record_bytes = 0usize;
         if cur.remaining() >= 4 {
             let narcs = cur.get_u32_le() as usize;
             let mut prev: Option<(Addr, Addr)> = None;
+            let mut arc_sum = 0;
             for i in 0..narcs {
                 if cur.remaining() < 16 {
                     note(&mut report, format!("arc table truncated: {i} of {narcs} records"));
@@ -443,8 +500,15 @@ impl GmonData {
                 let from_pc = Addr::new(cur.get_u32_le());
                 let self_pc = Addr::new(cur.get_u32_le());
                 let count = cur.get_u64_le();
-                if prev.is_some_and(|p| p >= (from_pc, self_pc)) {
-                    note(&mut report, format!("arcs out of order at record {i} of {narcs}"));
+                let problem = if prev.is_some_and(|p| p >= (from_pc, self_pc)) {
+                    Some("arcs out of order")
+                } else if !tally(&mut arc_sum, count) {
+                    Some(ARC_OVERFLOW)
+                } else {
+                    None
+                };
+                if let Some(problem) = problem {
+                    note(&mut report, format!("{problem} at record {i} of {narcs}"));
                     report.records_dropped += narcs - i;
                     bad_record_bytes = 16;
                     break;
@@ -638,6 +702,67 @@ mod tests {
         let mut a = GmonData::new(100, Histogram::new(Addr::new(0x1000), 64, 1), vec![]);
         let b = GmonData::new(100, Histogram::new(Addr::new(0x1000), 128, 1), vec![]);
         assert!(matches!(a.merge(&b), Err(GmonError::MergeMismatch { .. })));
+    }
+
+    /// A profile over `sample_data`'s text with the given bucket counts
+    /// (from bucket 0) and arcs into 0x1020 (from 0x1010, 0x1030, ...).
+    fn crafted(buckets: &[u64], arcs: &[u64], missed: u64) -> GmonData {
+        let mut counts = vec![0; 32];
+        counts[..buckets.len()].copy_from_slice(buckets);
+        let h = Histogram::from_parts(Addr::new(0x1000), 64, 1, counts, missed).unwrap();
+        let arcs = (0..)
+            .zip(arcs)
+            .map(|(i, &count)| RawArc {
+                from_pc: Addr::new(0x1010 + 0x20 * i),
+                self_pc: Addr::new(0x1020),
+                count,
+            })
+            .collect();
+        GmonData::new(100, h, arcs)
+    }
+
+    #[test]
+    fn profiles_whose_counts_sum_past_u64_max_are_refused() {
+        let half = 1 << 63;
+        let buckets = crafted(&[half, half], &[], 0).to_bytes();
+        let arcs = crafted(&[], &[half, half], 0).to_bytes();
+        for (bytes, reason) in [(&buckets, BUCKET_OVERFLOW), (&arcs, ARC_OVERFLOW)] {
+            let refused = Err(GmonError::Corrupt { reason: reason.to_string() });
+            assert_eq!(GmonData::from_bytes(bytes), refused);
+            // Salvage drops the overflowing count and all after it.
+            let (back, report) = GmonData::from_bytes_salvage(bytes).unwrap();
+            assert!(report.reason.as_ref().is_some_and(|r| r.starts_with(reason)), "{report}");
+            assert_eq!(report.bytes_kept + report.bytes_dropped, bytes.len());
+            assert_eq!(back, GmonData::from_bytes(&back.to_bytes()).unwrap());
+        }
+        let (back, report) = GmonData::from_bytes_salvage(&buckets).unwrap();
+        assert_eq!((back.histogram().total(), report.buckets_zeroed), (half, 31));
+        assert_eq!(report.bytes_dropped, 31 * 8 + 4);
+        let (back, report) = GmonData::from_bytes_salvage(&arcs).unwrap();
+        assert_eq!((back.arcs().len(), report.records_dropped, report.bytes_dropped), (1, 1, 16));
+    }
+
+    #[test]
+    fn merges_that_sum_past_u64_max_are_refused_untouched() {
+        let near = u64::MAX - 2;
+        let cases = [
+            ("bucket total", crafted(&[near], &[], 0), crafted(&[0, near], &[], 0)),
+            ("arc total", crafted(&[], &[near], 0), crafted(&[], &[0, 3], 0)),
+            ("missed", crafted(&[], &[], near), crafted(&[], &[], 3)),
+            ("dropped", sample_data().with_dropped_arcs(near), sample_data().with_dropped_arcs(3)),
+        ];
+        for (what, a, b) in cases {
+            // Each side decodes on its own; only their sum overflows.
+            assert_eq!(GmonData::from_bytes(&a.to_bytes()).as_ref(), Ok(&a), "{what}");
+            assert_eq!(GmonData::from_bytes(&b.to_bytes()).as_ref(), Ok(&b), "{what}");
+            let mut sum = a.clone();
+            assert!(matches!(sum.merge(&b), Err(GmonError::MergeOverflow { .. })), "{what}");
+            assert_eq!(sum, a, "{what}: a refused merge wrote");
+            let mut histogram = a.histogram().clone();
+            if histogram.merge(b.histogram()).is_err() {
+                assert_eq!(&histogram, a.histogram(), "{what}: a refused merge wrote");
+            }
+        }
     }
 
     #[test]

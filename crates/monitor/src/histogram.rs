@@ -14,6 +14,8 @@
 
 use graphprof_machine::Addr;
 
+use crate::gmon::{tally, GmonError, BUCKET_OVERFLOW};
+
 /// A PC histogram over a text-segment address range.
 ///
 /// ```
@@ -212,25 +214,51 @@ impl Histogram {
     ///
     /// # Errors
     ///
-    /// Returns `Err` with a description when the ranges or granularities
-    /// differ — the paper's post-processor likewise refuses to merge
-    /// profiles from different executables.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), String> {
+    /// Returns [`GmonError::MergeMismatch`] when the ranges or
+    /// granularities differ — the paper's post-processor likewise refuses
+    /// to merge profiles from different executables — and
+    /// [`GmonError::MergeOverflow`] when the merged bucket total or miss
+    /// count would pass `u64::MAX`. Either way `self` is left untouched.
+    pub fn merge(&mut self, other: &Histogram) -> Result<(), GmonError> {
+        self.check_merge(other)?;
+        self.add(other);
+        Ok(())
+    }
+
+    /// Whether `other` merges into this histogram: the same shape, and a
+    /// merged bucket total and miss count that fit in a `u64`.
+    pub(crate) fn check_merge(&self, other: &Histogram) -> Result<(), GmonError> {
+        let mismatch = |reason| Err(GmonError::MergeMismatch { reason });
         if self.base != other.base {
-            return Err(format!("histogram base {} != {}", self.base, other.base));
+            return mismatch(format!("histogram base {} != {}", self.base, other.base));
         }
         if self.text_len != other.text_len {
-            return Err(format!("histogram length {} != {}", self.text_len, other.text_len));
+            return mismatch(format!("histogram length {} != {}", self.text_len, other.text_len));
         }
         if self.shift != other.shift {
-            return Err(format!("histogram shift {} != {}", self.shift, other.shift));
+            return mismatch(format!("histogram shift {} != {}", self.shift, other.shift));
         }
+        let mut total = 0;
+        if !self.counts.iter().chain(&other.counts).all(|&c| tally(&mut total, c)) {
+            return Err(GmonError::MergeOverflow { reason: BUCKET_OVERFLOW.to_string() });
+        }
+        if self.missed.checked_add(other.missed).is_none() {
+            return Err(GmonError::MergeOverflow {
+                reason: "missed samples sum past u64::MAX".to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Adds `other`'s counts into this histogram's, once
+    /// [`Histogram::check_merge`] has passed: no bucket can then pass
+    /// `u64::MAX`, since none exceeds the merged total.
+    pub(crate) fn add(&mut self, other: &Histogram) {
         // Equal shapes have equal bucket counts.
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
         self.missed += other.missed;
-        Ok(())
     }
 
     pub(crate) fn from_parts(

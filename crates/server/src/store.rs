@@ -1843,6 +1843,37 @@ mod tests {
         StoreOptions { max_series: 64, stripes, segment_bytes: 1 << 20, ..StoreOptions::default() }
     }
 
+    /// A window whose samples fit on their own but would take the
+    /// aggregate past `u64::MAX` is refused, in memory and durably, and
+    /// replay refuses it the same way.
+    #[test]
+    fn uploads_that_would_overflow_the_aggregate_are_unmergeable() {
+        let exe = exe();
+        let blob = blob(&exe);
+        let parsed = GmonData::from_bytes(&blob).unwrap();
+        let total = parsed.histogram().total();
+        let (bucket, _) = parsed.histogram().iter_nonzero().next().unwrap();
+        let mut histogram = parsed.histogram().clone();
+        histogram.record(histogram.bucket_range(bucket).0, u64::MAX - 2 * total + 1);
+        let huge = GmonData::new(parsed.cycles_per_tick(), histogram, parsed.arcs().to_vec());
+        let huge = huge.to_bytes();
+        let offline = graphprof::sum_profiles([&parsed, &parsed]).unwrap().to_bytes();
+        let uploads = |store: &SeriesStore| {
+            store.upload("web", 0, &blob).unwrap();
+            let refused = store.upload("web", 1, &huge);
+            assert!(matches!(refused, Err(RejectReason::Unmergeable(_))), "{refused:?}");
+            store.upload("web", 2, &blob).unwrap();
+            assert_eq!(store.aggregate("web").unwrap().to_bytes(), offline);
+        };
+        uploads(&SeriesStore::new(exe.clone(), 8));
+        let dir = tmpdir("overflow");
+        uploads(&SeriesStore::open(exe.clone(), &dir, durable_opts(1)).unwrap().0);
+        let (store, _) = SeriesStore::open(exe, &dir, durable_opts(1)).unwrap();
+        assert_eq!(store.aggregate("web").unwrap().to_bytes(), offline);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn group_commit_is_durable_and_byte_identical_across_restart() {
         let exe = exe();
