@@ -23,7 +23,7 @@
 //! output is therefore also pinned by digest (profile bytes, run summary
 //! and ground truth, under every cost model), and so is the
 //! post-processor's (listings, propagated times, findings and summed
-//! profiles).
+//! profiles) and the regress engine's (scores, verdicts and reports).
 
 use graphprof::{Analysis, Gprof, Options};
 use graphprof_analysis::ProfileChecker;
@@ -35,6 +35,7 @@ use graphprof_monitor::profiler::profile_to_completion;
 use graphprof_monitor::{
     ArcRecorder, CallSiteTable, GmonData, MonitorCosts, RuntimeProfiler, ScalarHistogram,
 };
+use graphprof_regress::{compare, CompareOptions, RegressReport, RoutineScore};
 use graphprof_workloads::synthetic::{layered_dag, DagParams};
 use graphprof_workloads::{apps, paper, synthetic};
 
@@ -461,4 +462,103 @@ fn postprocessor_output_matches_the_pinned_digests() {
         actual == POSTPROCESSOR_DIGESTS,
         "post-processor output moved; digests now read:\n{table}"
     );
+}
+
+/// FNV-1a-64 of one regress report: the bits of every `RoutineScore`
+/// field, the names and causes in order, the text report and the pretty
+/// JSON.
+fn report_digest(report: &RegressReport) -> u64 {
+    let mut scores = Vec::new();
+    for row in &report.rows {
+        for x in [
+            row.before_self,
+            row.after_self,
+            row.sigma,
+            row.pct,
+            row.before_calls,
+            row.after_calls,
+            row.before_total,
+            row.after_total,
+            row.total_sigma,
+        ] {
+            scores.extend(x.to_bits().to_le_bytes());
+        }
+        for text in std::iter::once(row.name.as_str()).chain(row.causes.iter().copied()) {
+            scores.extend(text.as_bytes());
+            scores.push(0);
+        }
+    }
+    let text = report.render_text("before", "after");
+    let json = report.to_json("before", "after").to_pretty();
+    fnv1a64(&[&scores, text.as_bytes(), json.as_bytes()])
+}
+
+/// Windows summed into the baseline side of `regress_digests`.
+const BASELINE_WINDOWS: usize = 4;
+
+/// Digests of the regress engine's reports over eight windows of one
+/// profiled run: `(baseline, pair)`, where `baseline` scores the window
+/// after the first [`BASELINE_WINDOWS`] against their sum and `pair`
+/// scores one later window against the next.
+fn regress_digests(exe: &Executable, tick: u64) -> (u64, u64) {
+    let windows = windows(exe, tick, 8);
+    let mut baseline = windows[0].clone();
+    for window in &windows[1..BASELINE_WINDOWS] {
+        baseline.merge(window).expect("windows of one run merge");
+    }
+    let opts =
+        CompareOptions { before_windows: BASELINE_WINDOWS as u64, ..CompareOptions::default() };
+    let against_baseline =
+        compare(exe, &baseline, &windows[BASELINE_WINDOWS], &opts).expect("comparable");
+    let pair =
+        compare(exe, &windows[5], &windows[6], &CompareOptions::default()).expect("comparable");
+    let propagates =
+        |r: &RoutineScore| r.before_total > r.before_self && r.after_total > r.after_self;
+    assert!(against_baseline.rows.iter().any(propagates), "a routine with descendant time");
+    (report_digest(&against_baseline), report_digest(&pair))
+}
+
+/// `(workload, cycles per tick, baseline, pair)`, generated by the regress
+/// engine that looked each routine's total up by name in the call-graph
+/// listing. Any change to the engine or its rendering must reproduce these
+/// exactly.
+#[rustfmt::skip]
+const REGRESS_DIGESTS: &[(&str, u64, u64, u64)] = &[
+    ("figure4", 1, 0xfea7ea18e23501e8, 0xe0d8094d0384c646),
+    ("figure4", 7, 0x77e09e36e526dee3, 0x6ea4b6eba4f3f314),
+    ("figure4", 64, 0x1ed08990fa35792e, 0x1a37ea4eebee73b3),
+    ("kernel", 1, 0xc16ea3a69c10d619, 0x2ca0ab2b8ba155ce),
+    ("kernel", 7, 0x330fe34c9d67abe4, 0x14927d2bfca2153f),
+    ("kernel", 64, 0x4a72126948ef7840, 0xb5f425c001a4c5e3),
+    ("fan-out", 1, 0xed6da774a920bd2d, 0x51d46c748bf5aa55),
+    ("fan-out", 7, 0x17c77ad97ee8fe87, 0xbf1d582fb43d08d7),
+    ("fan-out", 64, 0xa3f1af6288a66d82, 0x201049a0b3431a60),
+    ("fan-in", 1, 0xb4947b0a62bab132, 0xedbe2ac5b1c76e2c),
+    ("fan-in", 7, 0x0c8886bf28e5b54b, 0xa9fd64bb174b5373),
+    ("fan-in", 64, 0x05a4d00d2b3ada1e, 0x07f43bcfcb49770a),
+    ("dag", 1, 0xa9195450ba70171c, 0xbc9bc1ca3dd129d9),
+    ("dag", 7, 0x5c54a992e286e9cb, 0x6b82d4eec006f6bd),
+    ("dag", 64, 0x9a5a7a7da20217f2, 0x5b1a23c6254be0f7),
+    ("compiler", 1, 0xa6b24342ccb6fb49, 0xb44df48239279759),
+    ("compiler", 7, 0xc85dccfd186ccadb, 0xdf6d0fa0b5e25355),
+    ("compiler", 64, 0xeb6ed40f004ecb93, 0xa305a33f64e6cb5b),
+];
+
+/// Pins the regress engine's reports — scores, verdicts, text and JSON —
+/// for every workload and tick granularity of the post-processor digests.
+#[test]
+fn regress_reports_match_the_pinned_digests() {
+    let mut actual = Vec::new();
+    for (name, program) in workloads() {
+        let exe = program.compile(&CompileOptions::profiled()).expect("compiles");
+        for tick in [1u64, 7, 64] {
+            let (baseline, pair) = regress_digests(&exe, tick);
+            actual.push((name, tick, baseline, pair));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, tick, a, b)| format!("    ({name:?}, {tick}, {a:#018x}, {b:#018x}),\n"))
+        .collect();
+    assert!(actual == REGRESS_DIGESTS, "regress reports moved; digests now read:\n{table}");
 }
