@@ -1,6 +1,7 @@
 //! The analysis driver: from `(executable, profile data)` to profiles.
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use graphprof_callgraph::{
     break_cycles_greedy, propagate, CallGraph, NodeId, Propagation, SccResult,
@@ -140,30 +141,15 @@ impl Gprof {
         let mut instrumented: Vec<bool> = exe.symbols().iter().map(|(_, s)| s.profiled()).collect();
         instrumented.push(false); // spontaneous node
 
-        let flat = FlatProfile::build(
-            &graph,
-            spontaneous,
-            &self_cycles,
-            &propagation,
-            &instrumented,
-            self.options.cycles_per_second,
-        );
-        let callgraph = CallGraphProfile::build(
-            &graph,
-            spontaneous,
-            &scc,
-            &propagation,
-            &self_cycles,
-            self.options.cycles_per_second,
-        );
-
         Ok(Analysis {
             options: self.options.clone(),
-            flat,
-            callgraph,
+            flat: OnceLock::new(),
+            callgraph: OnceLock::new(),
             graph,
             scc,
             propagation,
+            self_cycles,
+            instrumented,
             spontaneous,
             removed_arcs,
             unattributed_seconds: unattributed_cycles / self.options.cycles_per_second,
@@ -182,15 +168,20 @@ pub fn analyze(exe: &Executable, gmon: &GmonData) -> Result<Analysis, AnalyzeErr
     Gprof::default().analyze(exe, gmon)
 }
 
-/// A completed analysis: both profiles plus the underlying graph data.
+/// A completed analysis: the propagated graph data, and both profiles,
+/// each built the first time it is read.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     options: Options,
-    flat: FlatProfile,
-    callgraph: CallGraphProfile,
+    flat: OnceLock<FlatProfile>,
+    callgraph: OnceLock<CallGraphProfile>,
     graph: CallGraph,
     scc: SccResult,
     propagation: Propagation,
+    /// Per-node self cycles, the spontaneous node's included.
+    self_cycles: Vec<f64>,
+    /// Per-node prologue flags, the spontaneous node's (false) included.
+    instrumented: Vec<bool>,
     spontaneous: NodeId,
     removed_arcs: Vec<(String, String)>,
     unattributed_seconds: f64,
@@ -199,14 +190,32 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// The flat profile (§5.1).
+    /// The flat profile (§5.1), built on the first call.
     pub fn flat(&self) -> &FlatProfile {
-        &self.flat
+        self.flat.get_or_init(|| {
+            FlatProfile::build(
+                &self.graph,
+                self.spontaneous,
+                &self.self_cycles,
+                &self.propagation,
+                &self.instrumented,
+                self.options.cycles_per_second,
+            )
+        })
     }
 
-    /// The call graph profile (§5.2).
+    /// The call graph profile (§5.2), built on the first call.
     pub fn call_graph(&self) -> &CallGraphProfile {
-        &self.callgraph
+        self.callgraph.get_or_init(|| {
+            CallGraphProfile::build(
+                &self.graph,
+                self.spontaneous,
+                &self.scc,
+                &self.propagation,
+                &self.self_cycles,
+                self.options.cycles_per_second,
+            )
+        })
     }
 
     /// The merged call graph the analysis ran over (after exclusions).
@@ -280,7 +289,7 @@ impl Analysis {
 
     /// Total program time in seconds.
     pub fn total_seconds(&self) -> f64 {
-        self.flat.total_seconds()
+        self.flat().total_seconds()
     }
 
     /// The cycles→seconds conversion the analysis was displayed with.
@@ -290,7 +299,7 @@ impl Analysis {
 
     /// The call-graph-profile entries selected by the options' filter.
     pub fn selected_entries(&self) -> Vec<&Entry> {
-        let entries = self.callgraph.entries();
+        let entries = self.call_graph().entries();
         match &self.options.filter {
             Filter::All => entries.iter().collect(),
             Filter::MinPercent(p) => entries.iter().filter(|e| e.percent >= *p).collect(),
@@ -354,14 +363,15 @@ impl Analysis {
     /// cycles, and anything dropped or unattributed.
     pub fn render_summary(&self) -> String {
         use std::fmt::Write as _;
+        let flat = self.flat();
         let mut out = String::new();
         let _ = writeln!(
             out,
             "{:.2} seconds across {} routines ({} never called); {} cycle(s)",
-            self.total_seconds(),
-            self.flat.rows().len() + self.flat.never_called().len(),
-            self.flat.never_called().len(),
-            self.callgraph.cycle_count(),
+            flat.total_seconds(),
+            flat.rows().len() + flat.never_called().len(),
+            flat.never_called().len(),
+            self.call_graph().cycle_count(),
         );
         if self.unattributed_seconds > 0.0 {
             let _ = writeln!(
@@ -390,7 +400,7 @@ impl Analysis {
 
     /// Renders the flat profile as text.
     pub fn render_flat(&self) -> String {
-        render::render_flat(&self.flat)
+        render::render_flat(self.flat())
     }
 
     /// Renders the call graph profile as text, honoring the display
@@ -438,6 +448,21 @@ mod tests {
         let p_entry = analysis.call_graph().entry("producer").unwrap();
         let c_entry = analysis.call_graph().entry("consumer").unwrap();
         assert!(c_entry.total_seconds() > p_entry.total_seconds());
+    }
+
+    #[test]
+    fn listings_are_built_on_first_read_and_kept() {
+        fn shareable<T: Clone + std::fmt::Debug + Send + Sync>(_: &T) {}
+        let (exe, gmon) = compile_and_profile(ABSTRACTION, 10);
+        let analysis = analyze(&exe, &gmon).unwrap();
+        shareable(&analysis);
+        let unread = analysis.clone();
+        assert!(std::ptr::eq(analysis.call_graph(), analysis.call_graph()));
+        assert!(std::ptr::eq(analysis.flat(), analysis.flat()));
+        // A clone taken before the first read builds the same listings.
+        assert_eq!(unread.call_graph(), analysis.call_graph());
+        assert_eq!(unread.flat(), analysis.flat());
+        assert_eq!(analysis.clone().render_call_graph(), analysis.render_call_graph());
     }
 
     #[test]

@@ -273,16 +273,17 @@ fn calls_per_symbol(exe: &Executable, gmon: &GmonData) -> Vec<u64> {
 }
 
 /// Propagated self+descendants time per symbol, converted back to ticks
-/// so all three comparators speak one unit.
+/// so all three comparators speak one unit. Routines the flat profile
+/// lists (called or sampled) get a total; the rest stay zero.
 fn totals_in_ticks(analysis: &Analysis, gmon: &GmonData, nsyms: usize) -> Vec<f64> {
-    let ticks_per_second = analysis.cycles_per_second() / gmon.cycles_per_tick() as f64;
+    let cps = analysis.cycles_per_second();
+    let ticks_per_second = cps / gmon.cycles_per_tick() as f64;
+    let prop = analysis.propagation();
     let mut out = vec![0.0; nsyms];
     for row in analysis.flat().rows() {
-        let total = analysis
-            .call_graph()
-            .entry(&row.name)
-            .map(|e| e.total_seconds())
-            .unwrap_or(row.self_seconds);
+        // Read by node, so namesakes keep their own totals; the sum is
+        // the one `Entry::total_seconds` takes for the node's entry.
+        let total = prop.node_self(row.node) / cps + prop.node_desc(row.node) / cps;
         // Flat rows are call-graph nodes; symbol nodes share the symbol's
         // index (the `<spontaneous>` node comes after them and is skipped).
         let idx = row.node.index();

@@ -154,6 +154,57 @@ mod tests {
         assert!(same.is_clean());
     }
 
+    /// The symbol table accepts repeated names. Each namesake's row must
+    /// carry its own propagated total, not the first namesake's.
+    #[test]
+    fn namesakes_are_scored_with_their_own_totals() {
+        use graphprof::{Gprof, Options};
+        use graphprof_machine::{Symbol, SymbolTable};
+        use graphprof_monitor::profiler::profile_to_completion;
+        let mut b = Program::builder();
+        b.routine("main", |r| r.call("a").call("b"));
+        b.routine("a", |r| r.work(50).call_n("leaf", 20));
+        b.routine("b", |r| r.work(500));
+        b.routine("leaf", |r| r.work(10));
+        let exe = b.build().unwrap().compile(&CompileOptions::profiled()).unwrap();
+        let renamed = exe
+            .symbols()
+            .iter()
+            .map(|(_, s)| {
+                let name = if matches!(s.name(), "a" | "b") { "dup" } else { s.name() };
+                Symbol::new(name, s.addr(), s.size(), s.profiled())
+            })
+            .collect();
+        let exe = Executable::new(
+            exe.base(),
+            exe.text().to_vec(),
+            SymbolTable::new(renamed),
+            exe.entry(),
+        );
+        let (gmon, _) = profile_to_completion(exe.clone(), 10).unwrap();
+        let report = compare(&exe, &gmon, &gmon, &CompareOptions::default()).unwrap();
+
+        let analysis = Gprof::new(Options::default()).analyze(&exe, &gmon).unwrap();
+        let (graph, prop) = (analysis.graph(), analysis.propagation());
+        let cps = analysis.cycles_per_second();
+        let ticks_per_second = cps / gmon.cycles_per_tick() as f64;
+        let mut expected: Vec<f64> = graph
+            .nodes()
+            .filter(|&n| graph.name(n) == "dup")
+            .map(|n| (prop.node_self(n) / cps + prop.node_desc(n) / cps) * ticks_per_second)
+            .collect();
+        let mut actual: Vec<f64> =
+            report.rows.iter().filter(|r| r.name == "dup").map(|r| r.after_total).collect();
+        expected.sort_by(f64::total_cmp);
+        actual.sort_by(f64::total_cmp);
+        assert_eq!(expected.len(), 2);
+        assert_ne!(expected[0], expected[1], "the namesakes differ");
+        assert_eq!(actual, expected);
+        for row in report.rows.iter().filter(|r| r.name == "dup") {
+            assert_eq!(row.before_total, row.after_total, "{row:?}");
+        }
+    }
+
     #[test]
     fn mismatched_sampling_periods_are_incomparable() {
         let exe = exe_two_routines();
