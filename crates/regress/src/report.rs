@@ -9,6 +9,7 @@
 
 use std::fmt::Write as _;
 
+use graphprof::render::Fixed;
 use graphprof::ProfileDiff;
 use graphprof_analysis::json::Value;
 
@@ -116,11 +117,11 @@ impl RegressReport {
             let verdict = if row.regressed() { row.causes.join(",") } else { "ok".to_string() };
             let _ = writeln!(
                 out,
-                "{:>12.1} {:>12.1} {:>+9.1} {:>8.2}  {}  {}",
-                row.before_self,
-                row.after_self,
-                row.self_delta(),
-                row.sigma,
+                "{:>12} {:>12} {:>+9} {:>8}  {}  {}",
+                Fixed(row.before_self, 1),
+                Fixed(row.after_self, 1),
+                Fixed(row.self_delta(), 1),
+                Fixed(row.sigma, 2),
                 verdict,
                 row.name,
             );
