@@ -434,6 +434,14 @@ impl GmonData {
             // Keep the first (outermost) problem; the counters carry the rest.
             report.reason.get_or_insert(reason);
         }
+        // Bytes read or skipped but kept out of the profile; whatever is
+        // still unread at the end is dropped too.
+        let mut discarded = 0usize;
+        fn discard_rest(cur: &mut &[u8]) -> usize {
+            let rest = cur.remaining();
+            cur.advance(rest);
+            rest
+        }
         if flags & !KNOWN_FLAGS != 0 {
             note(&mut report, format!("unknown header flags {flags:#x}"));
         }
@@ -442,7 +450,7 @@ impl GmonData {
             cur.get_u64_le()
         } else {
             note(&mut report, "truncated before the missed-sample count".to_string());
-            cur.advance(cur.remaining());
+            discarded += discard_rest(&mut cur);
             0
         };
         let expected = crate::histogram::bucket_count(text_len, shift);
@@ -455,21 +463,20 @@ impl GmonData {
                     &mut report,
                     format!("bucket count {declared} contradicts geometry ({expected} buckets)"),
                 );
-                cur.advance(cur.remaining());
+                discarded += discard_rest(&mut cur);
             }
         } else {
             note(&mut report, "truncated before the bucket count".to_string());
-            cur.advance(cur.remaining());
+            discarded += discard_rest(&mut cur);
         }
         let keep = expected.min(cur.remaining() / 8);
         let mut buckets = Vec::with_capacity(expected);
         let mut bucket_sum = 0;
-        let mut bad_record_bytes = 0usize;
         for i in 0..keep {
             let count = cur.get_u64_le();
             if !tally(&mut bucket_sum, count) {
                 note(&mut report, format!("{BUCKET_OVERFLOW} at bucket {i} of {expected}"));
-                bad_record_bytes = 8 + cur.remaining();
+                discarded += 8;
                 break;
             }
             buckets.push(count);
@@ -479,7 +486,7 @@ impl GmonData {
             report.buckets_zeroed = expected - buckets.len();
             buckets.resize(expected, 0);
             // Anything after a torn histogram is unaligned junk.
-            cur.advance(cur.remaining());
+            discarded += discard_rest(&mut cur);
         }
         let histogram = Histogram::from_parts(base, text_len, shift, buckets, missed)
             .map_err(|reason| GmonError::Corrupt { reason })?;
@@ -493,8 +500,7 @@ impl GmonData {
                 if cur.remaining() < 16 {
                     note(&mut report, format!("arc table truncated: {i} of {narcs} records"));
                     report.records_dropped += narcs - i;
-                    bad_record_bytes = cur.remaining();
-                    cur.advance(cur.remaining());
+                    discarded += discard_rest(&mut cur);
                     break;
                 }
                 let from_pc = Addr::new(cur.get_u32_le());
@@ -510,7 +516,7 @@ impl GmonData {
                 if let Some(problem) = problem {
                     note(&mut report, format!("{problem} at record {i} of {narcs}"));
                     report.records_dropped += narcs - i;
-                    bad_record_bytes = 16;
+                    discarded += 16;
                     break;
                 }
                 prev = Some((from_pc, self_pc));
@@ -518,7 +524,7 @@ impl GmonData {
             }
         } else {
             note(&mut report, "truncated before the arc count".to_string());
-            cur.advance(cur.remaining());
+            discarded += discard_rest(&mut cur);
         }
 
         let mut dropped_arcs = 0;
@@ -527,14 +533,14 @@ impl GmonData {
                 dropped_arcs = cur.get_u64_le();
             } else {
                 note(&mut report, "truncated before the dropped-arcs trailer".to_string());
-                cur.advance(cur.remaining());
+                discarded += discard_rest(&mut cur);
             }
         }
         if cur.has_remaining() {
             note(&mut report, format!("{} trailing bytes", cur.remaining()));
         }
 
-        report.bytes_dropped = cur.remaining() + bad_record_bytes;
+        report.bytes_dropped = cur.remaining() + discarded;
         report.bytes_kept = total - report.bytes_dropped;
         Ok((GmonData { cycles_per_tick, histogram, arcs, dropped_arcs }, report))
     }
@@ -854,6 +860,47 @@ mod tests {
         assert_eq!(back.arcs().len(), 1);
         assert_eq!(report.records_dropped, 1);
         assert_eq!(report.bytes_dropped, 16);
+    }
+
+    /// Every branch that skips the rest of a damaged stream counts what
+    /// it skips as dropped. The first three cases cut or patch the
+    /// 532-byte profile of a four-routine program run at tick 10.
+    #[test]
+    fn salvage_counts_every_byte_it_discards() {
+        let exe = graphprof_machine::asm::parse(
+            "routine main { work 50 setslot 0, hidden call a call b }
+             routine a { work 200 call b }
+             routine b { work 100 calli 0 }
+             routine hidden { work 400 }",
+        )
+        .unwrap()
+        .compile(&graphprof_machine::CompileOptions::profiled())
+        .unwrap();
+        let (gmon, _) = crate::profiler::profile_to_completion(exe, 10).unwrap();
+        let bytes = gmon.to_bytes();
+        assert_eq!((bytes.len(), gmon.histogram().len()), (532, 51));
+        let mut recounted = bytes.clone();
+        recounted[36..40].copy_from_slice(&50u32.to_le_bytes());
+        let sample = sample_data().to_bytes();
+        let arc_count_at = 40 + sample_data().histogram().len() * 8;
+        let trailer = sample_data().with_dropped_arcs(2).to_bytes();
+        let cases: [(&str, &[u8], usize, usize); 6] = [
+            ("cut 5 bytes into the fourth bucket", &bytes[..69], 64, 5),
+            ("bucket count contradicting the geometry", &recounted, 40, 492),
+            ("cut inside the missed-sample count", &bytes[..30], 28, 2),
+            ("cut inside the bucket count", &bytes[..38], 36, 2),
+            ("cut inside the arc count", &sample[..arc_count_at + 2], arc_count_at, 2),
+            ("cut inside the dropped-arcs trailer", &trailer[..trailer.len() - 3], sample.len(), 5),
+        ];
+        for (what, input, kept, dropped) in cases {
+            let (_, report) = GmonData::from_bytes_salvage(input).unwrap();
+            assert!(!report.is_clean(), "{what}");
+            assert_eq!(
+                (report.bytes_kept, report.bytes_dropped),
+                (kept, dropped),
+                "{what}: {report}"
+            );
+        }
     }
 
     #[test]
