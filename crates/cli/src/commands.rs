@@ -328,17 +328,8 @@ pub fn check(args: &Args) -> Result<CheckReport, CliError> {
         ));
     };
     let exe = objfile::read_executable(&read(exe_path)?)?;
-    let gmon_bytes = read(gmon_path)?;
     let mut output = String::new();
-    let gmon = if args.switch("salvage") {
-        let (gmon, report) = Gmon::from_bytes_salvage(&gmon_bytes)?;
-        if !report.is_clean() {
-            output.push_str(&format!("salvage: {report}\n"));
-        }
-        gmon
-    } else {
-        Gmon::from_bytes(&gmon_bytes)?
-    };
+    let gmon = read_profile(args, gmon_path, &mut output)?;
 
     let findings = graphprof_analysis::check_profile(&exe, &gmon);
     let (mut errors, mut warnings) = (0usize, 0usize);
@@ -352,6 +343,23 @@ pub fn check(args: &Args) -> Result<CheckReport, CliError> {
     }
     output.push_str(&format!("{gmon_path}: {} error(s), {} warning(s)\n", errors, warnings));
     Ok(CheckReport { output, errors, warnings })
+}
+
+/// Reads the profile at `path` for `check` and `analyze`. With
+/// `--salvage`, the valid prefix of a damaged profile is recovered and
+/// what was repaired goes to `output` as a `salvage:` line. A profile
+/// that cannot be read is named in the error.
+fn read_profile(args: &Args, path: &str, output: &mut String) -> Result<Gmon, CliError> {
+    let bytes = read(path)?;
+    let refused = |source| CliError::Profile { path: path.to_string(), source };
+    if !args.switch("salvage") {
+        return Gmon::from_bytes(&bytes).map_err(refused);
+    }
+    let (gmon, report) = Gmon::from_bytes_salvage(&bytes).map_err(refused)?;
+    if !report.is_clean() {
+        output.push_str(&format!("salvage: {report}\n"));
+    }
+    Ok(gmon)
 }
 
 /// The outcome of `graphprof analyze`: rendered findings plus the
@@ -432,17 +440,8 @@ pub fn analyze(args: &Args) -> Result<AnalyzeOutcome, CliError> {
     };
     let config = rule_config(args)?;
     let exe = objfile::read_executable(&read(exe_path)?)?;
-    let gmon_bytes = read(gmon_path)?;
     let mut output = String::new();
-    let gmon = if args.switch("salvage") {
-        let (gmon, report) = Gmon::from_bytes_salvage(&gmon_bytes)?;
-        if !report.is_clean() {
-            output.push_str(&format!("salvage: {report}\n"));
-        }
-        gmon
-    } else {
-        Gmon::from_bytes(&gmon_bytes)?
-    };
+    let gmon = read_profile(args, gmon_path, &mut output)?;
 
     let report = graphprof_analysis::AnalyzeReport::build(&exe, &gmon, &config);
     output.push_str(&report.render_text(gmon_path));
@@ -626,6 +625,9 @@ pub fn report(args: &Args) -> Result<String, CliError> {
         options = options.break_cycles(bound as usize);
     }
     if let Some(cps) = args.int_value("cps")? {
+        if cps == 0 {
+            return Err(CliError::Usage("--cps must be positive, got `0`".to_string()));
+        }
         options = options.cycles_per_second(cps as f64);
     }
     let filters_given = [

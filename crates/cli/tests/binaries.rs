@@ -645,6 +645,50 @@ fn profiles_whose_counts_overflow_are_refused_by_name() {
     assert!(run_bin("graphprof", &["regress", &exe, &big, &big_again]).status.success());
 }
 
+/// `check` and `analyze` name a profile they cannot read, as the
+/// analysis path does, whether the strict decoder refuses it or, under
+/// `--salvage`, even the salvaging one does.
+#[test]
+fn check_and_analyze_name_a_profile_they_cannot_read() {
+    let dir = TempDir::new("unreadable");
+    let (exe, gmon) = straight_profile(&dir);
+    let bytes = fs::read(&gmon).expect("read profile");
+    let nbuckets = u32::from_le_bytes(bytes[36..40].try_into().unwrap()) as usize;
+    let first_arc = 40 + nbuckets * 8 + 4;
+    let mut overflowing = bytes.clone();
+    for at in [first_arc + 8, first_arc + 24] {
+        overflowing[at..at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+    }
+    let overflow = dir.path("arcs.out");
+    fs::write(&overflow, overflowing).expect("write profile");
+    let torn = dir.path("torn.out");
+    fs::write(&torn, &bytes[..10]).expect("write profile");
+    let overflowed = "corrupt profile file: arc counts sum past u64::MAX";
+    for command in ["check", "analyze"] {
+        for (args, path, reason) in [
+            (vec![command, &exe, &overflow], &overflow, overflowed),
+            (vec![command, "--salvage", &exe, &torn], &torn, "profile file is truncated"),
+        ] {
+            let out = run_bin("graphprof", &args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+            let expected = format!("graphprof: {path}: {reason}");
+            assert!(stderr(&out).contains(&expected), "{args:?}: {}", stderr(&out));
+        }
+    }
+}
+
+/// A zero `--cps` would divide every time by zero; it is a usage error
+/// (exit 2) that names the flag, not a panic.
+#[test]
+fn zero_cycles_per_second_is_a_usage_error() {
+    let dir = TempDir::new("zerocps");
+    let (exe, gmon) = straight_profile(&dir);
+    let out = run_bin("graphprof", &[&exe, &gmon, "--cps", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(stderr(&out).contains("--cps must be positive"), "{}", stderr(&out));
+    assert!(run_bin("graphprof", &[&exe, &gmon, "--cps", "1", "--brief"]).status.success());
+}
+
 #[test]
 fn analyze_gates_with_configurable_rules() {
     let dir = TempDir::new("analyzegate");
