@@ -27,8 +27,6 @@ pub enum CliError {
     Compile(CompileError),
     /// An executable file was unreadable.
     ObjFile(ObjFileError),
-    /// A profile file was unreadable or unmergeable.
-    Gmon(GmonError),
     /// A named profile file could not be read as a profile, or summed
     /// with the ones before it.
     Profile {
@@ -65,7 +63,6 @@ impl fmt::Display for CliError {
             CliError::Asm(e) => write!(f, "assembly error: {e}"),
             CliError::Compile(e) => write!(f, "compile error: {e}"),
             CliError::ObjFile(e) => write!(f, "executable error: {e}"),
-            CliError::Gmon(e) => write!(f, "profile error: {e}"),
             CliError::Profile { path, source } => write!(f, "{path}: {source}"),
             CliError::Interp(e) => write!(f, "run-time fault: {e}"),
             CliError::Decode(e) => write!(f, "text error: {e}"),
@@ -91,7 +88,7 @@ impl Error for CliError {
             CliError::Asm(e) => Some(e),
             CliError::Compile(e) => Some(e),
             CliError::ObjFile(e) => Some(e),
-            CliError::Gmon(e) | CliError::Profile { source: e, .. } => Some(e),
+            CliError::Profile { source: e, .. } => Some(e),
             CliError::Interp(e) => Some(e),
             CliError::Decode(e) => Some(e),
             CliError::Analyze(e) => Some(e),
@@ -115,7 +112,6 @@ macro_rules! from_error {
 from_error!(Asm, AsmError);
 from_error!(Compile, CompileError);
 from_error!(ObjFile, ObjFileError);
-from_error!(Gmon, GmonError);
 from_error!(Interp, InterpError);
 from_error!(Decode, DecodeError);
 from_error!(Analyze, AnalyzeError);
@@ -159,7 +155,7 @@ mod tests {
 
     #[test]
     fn sources_are_chained() {
-        let e = CliError::from(GmonError::BadMagic);
+        let e = CliError::Profile { path: "gmon.out".to_string(), source: GmonError::BadMagic };
         assert!(Error::source(&e).is_some());
         assert!(Error::source(&CliError::Usage(String::new())).is_none());
     }
