@@ -23,7 +23,8 @@
 //! output is therefore also pinned by digest (profile bytes, run summary
 //! and ground truth, under every cost model), and so is the
 //! post-processor's (listings, propagated times, findings and summed
-//! profiles) and the regress engine's (scores, verdicts and reports).
+//! profiles), the regress engine's (scores, verdicts and reports) and the
+//! profile diff's (text and JSON).
 
 use graphprof::{Analysis, Gprof, Options};
 use graphprof_analysis::ProfileChecker;
@@ -561,4 +562,64 @@ fn regress_reports_match_the_pinned_digests() {
         .map(|(name, tick, a, b)| format!("    ({name:?}, {tick}, {a:#018x}, {b:#018x}),\n"))
         .collect();
     assert!(actual == REGRESS_DIGESTS, "regress reports moved; digests now read:\n{table}");
+}
+
+/// Digest of the profile diffs over one profiled run: `ProfileDiff::render`
+/// and the pretty `graphprof-diff/1` JSON of the whole run against its
+/// fifth window, and of the sixth window against the seventh.
+fn diff_digest(exe: &Executable, tick: u64) -> u64 {
+    let (whole, _) = profile_to_completion(exe.clone(), tick).expect("runs");
+    let windows = windows(exe, tick, 8);
+    let mut text = String::new();
+    for (before, after) in [(&whole, &windows[4]), (&windows[5], &windows[6])] {
+        let before = analyze(exe, before, Options::default());
+        let after = analyze(exe, after, Options::default());
+        let diff = graphprof::diff_profiles(&before, &after);
+        text += &diff.render();
+        text += &graphprof_regress::diff_to_json(&diff).to_pretty();
+    }
+    fnv1a64(&[text.as_bytes()])
+}
+
+/// `(workload, cycles per tick, diff)`, generated by the diff that looked
+/// each routine's total up by name in the call-graph listing. Any change
+/// to the diff or its rendering must reproduce these exactly.
+#[rustfmt::skip]
+const DIFF_DIGESTS: &[(&str, u64, u64)] = &[
+    ("figure4", 1, 0xde2cf641b86bb80d),
+    ("figure4", 7, 0xc57d8e484a3f6d3a),
+    ("figure4", 64, 0xd583672d8a807b9a),
+    ("kernel", 1, 0x68621dec449bafb9),
+    ("kernel", 7, 0x6d568cb0a8b0c32a),
+    ("kernel", 64, 0xbfc37aba275b88b3),
+    ("fan-out", 1, 0x74b19ef01f7f31e0),
+    ("fan-out", 7, 0xd3ac54babe481621),
+    ("fan-out", 64, 0xd472e05b6310972b),
+    ("fan-in", 1, 0x630d6bbc17fb5806),
+    ("fan-in", 7, 0x660db1e77ffa6cb5),
+    ("fan-in", 64, 0x31733f404f9c379c),
+    ("dag", 1, 0x8eda99039bd0fdcc),
+    ("dag", 7, 0xbdee23a2b9232213),
+    ("dag", 64, 0xa8b6808cdf9a2d6c),
+    ("compiler", 1, 0x29e1cdf7b3735210),
+    ("compiler", 7, 0x976117c20fdb92c4),
+    ("compiler", 64, 0x6bac79266635aeab),
+];
+
+/// Pins the profile diff's text and JSON for every workload and tick
+/// granularity of the post-processor digests.
+#[test]
+fn diff_reports_match_the_pinned_digests() {
+    let mut actual = Vec::new();
+    for (name, program) in workloads() {
+        let exe = program.compile(&CompileOptions::profiled()).expect("compiles");
+        for tick in [1u64, 7, 64] {
+            actual.push((name, tick, diff_digest(&exe, tick)));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, tick, digest)| format!("    ({name:?}, {tick}, {digest:#018x}),\n"))
+        .collect();
+    assert!(actual == DIFF_DIGESTS, "profile diffs moved; digests now read:\n{table}");
 }
