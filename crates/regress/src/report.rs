@@ -114,17 +114,28 @@ impl RegressReport {
             "self before", "self after", "delta", "sigma"
         );
         for row in &self.rows {
-            let verdict = if row.regressed() { row.causes.join(",") } else { "ok".to_string() };
-            let _ = writeln!(
-                out,
-                "{:>12} {:>12} {:>+9} {:>8}  {}  {}",
-                Fixed(row.before_self, 1),
-                Fixed(row.after_self, 1),
-                Fixed(row.self_delta(), 1),
-                Fixed(row.sigma, 2),
-                verdict,
-                row.name,
-            );
+            // "{:>12} {:>12} {:>+9} {:>8}  {}  {}" of the four numbers, the
+            // causes joined by `,` (or `ok`) and the name.
+            Fixed(row.before_self, 1).push_right(&mut out, 12, false);
+            out.push(' ');
+            Fixed(row.after_self, 1).push_right(&mut out, 12, false);
+            out.push(' ');
+            Fixed(row.self_delta(), 1).push_right(&mut out, 9, true);
+            out.push(' ');
+            Fixed(row.sigma, 2).push_right(&mut out, 8, false);
+            out.push_str("  ");
+            if row.causes.is_empty() {
+                out.push_str("ok");
+            }
+            for (i, cause) in row.causes.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(cause);
+            }
+            out.push_str("  ");
+            out.push_str(&row.name);
+            out.push('\n');
         }
         let flagged = self.regressions().count();
         if flagged == 0 {
@@ -228,4 +239,72 @@ pub fn diff_to_json(diff: &ProfileDiff) -> Value {
         ),
         ("rows".into(), Value::Array(rows)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The report rows against the format string they replace, on exact
+    /// ties to one and two digits and their neighbours, the doubles at
+    /// and above `2^52/10^d`, ±inf, NaN, ±0.0, each count of causes and
+    /// names that are not ASCII.
+    #[test]
+    fn text_rows_render_as_the_format_string_would() {
+        let mut values = vec![0.0, -0.0, 1.0 / 3.0, 7907.05, f64::INFINITY, f64::NAN];
+        for tie in [0.25f64, 176.75, 0.125, 2.5, 0.375] {
+            values.extend([
+                tie,
+                f64::from_bits(tie.to_bits() - 1),
+                f64::from_bits(tie.to_bits() + 1),
+            ]);
+        }
+        for d in 1..=2 {
+            let bound = (1u64 << 52) as f64 / 10f64.powi(d);
+            values.extend([bound, f64::from_bits(bound.to_bits() - 1), 1.5 * bound, 1e300]);
+        }
+        let negatives: Vec<f64> = values.iter().map(|x| -x).collect();
+        values.extend(negatives);
+        let causes: [&[&'static str]; 3] =
+            [&[], &["self-time"], &["self-time", "call-count", "descendant-time"]];
+        let names = ["main", "größe", "名前"];
+        let rows: Vec<RoutineScore> = (0..values.len())
+            .map(|i| RoutineScore {
+                name: names[i % names.len()].to_string(),
+                before_self: values[i],
+                after_self: values[(i + 3) % values.len()],
+                sigma: values[(i + 7) % values.len()],
+                pct: 0.0,
+                before_calls: 0.0,
+                after_calls: 0.0,
+                before_total: 0.0,
+                after_total: 0.0,
+                total_sigma: 0.0,
+                causes: causes[i % causes.len()].to_vec(),
+            })
+            .collect();
+        let report = RegressReport {
+            before_windows: 1,
+            thresholds: Thresholds::default(),
+            before_total: 0.0,
+            after_total: 0.0,
+            rows,
+        };
+        let text = report.render_text("b", "a");
+        let lines: Vec<&str> = text.lines().skip(3).take(report.rows.len()).collect();
+        assert_eq!(lines.len(), report.rows.len());
+        for (line, row) in lines.iter().zip(&report.rows) {
+            let verdict = if row.regressed() { row.causes.join(",") } else { "ok".to_string() };
+            let expected = format!(
+                "{:>12.1} {:>12.1} {:>+9.1} {:>8.2}  {}  {}",
+                row.before_self,
+                row.after_self,
+                row.self_delta(),
+                row.sigma,
+                verdict,
+                row.name,
+            );
+            assert_eq!(*line, expected, "{row:?}");
+        }
+    }
 }
