@@ -11,8 +11,6 @@
 //! routine, except that members of the cycle are listed in place of the
 //! children."
 
-use std::collections::HashMap;
-
 use graphprof_callgraph::{CallGraph, CompId, NodeId, Propagation, SccResult};
 
 /// What an entry describes.
@@ -176,52 +174,45 @@ impl CallGraphProfile {
         cycles.sort_by(|&a, &b| {
             prop.comp_total(b).partial_cmp(&prop.comp_total(a)).expect("times are finite")
         });
-        let mut cycle_number: HashMap<CompId, u32> = HashMap::new();
+        let mut cycle_number: Vec<Option<u32>> = vec![None; scc.comp_count()];
         for (i, &c) in cycles.iter().enumerate() {
-            cycle_number.insert(c, i as u32 + 1);
+            cycle_number[c.index()] = Some(i as u32 + 1);
         }
-
-        let display_name = |node: NodeId| -> String {
-            let base = graph.name(node).to_string();
-            match cycle_number.get(&scc.comp(node)) {
-                Some(n) => format!("{base} <cycle{n}>"),
-                None => base,
-            }
-        };
+        let cycle_of = |node: NodeId| cycle_number[scc.comp(node).index()];
+        let whole_names: Vec<String> =
+            (1..=cycles.len()).map(|n| format!("<cycle {n} as a whole>")).collect();
+        let display_names: Vec<String> = graph
+            .nodes()
+            .map(|node| match cycle_of(node) {
+                Some(n) => format!("{} <cycle{n}>", graph.name(node)),
+                None => graph.name(node).to_string(),
+            })
+            .collect();
 
         // Sort units by decreasing total time.
         enum Unit {
             Routine(NodeId),
             Cycle(CompId),
         }
-        let mut units: Vec<(f64, String, Unit)> = Vec::new();
+        let mut units: Vec<(f64, &str, Unit)> =
+            Vec::with_capacity(graph.node_count() + cycles.len());
         for node in graph.nodes() {
             if node == spontaneous {
                 continue;
             }
-            units.push((prop.node_total(node), graph.name(node).to_string(), Unit::Routine(node)));
+            units.push((prop.node_total(node), graph.name(node), Unit::Routine(node)));
         }
-        for &comp in &cycles {
-            units.push((
-                prop.comp_total(comp),
-                format!("<cycle {} as a whole>", cycle_number[&comp]),
-                Unit::Cycle(comp),
-            ));
+        for (&comp, name) in cycles.iter().zip(&whole_names) {
+            units.push((prop.comp_total(comp), name, Unit::Cycle(comp)));
         }
         units.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0).expect("times are finite").then_with(|| a.1.cmp(&b.1))
+            b.0.partial_cmp(&a.0).expect("times are finite").then_with(|| a.1.cmp(b.1))
         });
 
-        let mut node_entry: HashMap<NodeId, usize> = HashMap::new();
-        let mut comp_entry: HashMap<CompId, usize> = HashMap::new();
+        let mut node_entry: Vec<Option<usize>> = vec![None; graph.node_count()];
         for (i, (_, _, unit)) in units.iter().enumerate() {
-            match *unit {
-                Unit::Routine(n) => {
-                    node_entry.insert(n, i + 1);
-                }
-                Unit::Cycle(c) => {
-                    comp_entry.insert(c, i + 1);
-                }
+            if let Unit::Routine(n) = *unit {
+                node_entry[n.index()] = Some(i + 1);
             }
         }
 
@@ -240,10 +231,10 @@ impl CallGraphProfile {
                     }
                 } else {
                     ArcLine {
-                        name: display_name(node),
+                        name: display_names[node.index()].clone(),
                         node: Some(node),
-                        entry_index: node_entry.get(&node).copied(),
-                        cycle: cycle_number.get(&scc.comp(node)).copied(),
+                        entry_index: node_entry[node.index()],
+                        cycle: cycle_of(node),
                         self_seconds,
                         desc_seconds,
                         count,
@@ -252,6 +243,9 @@ impl CallGraphProfile {
                 }
             };
 
+        // A cycle's callers from outside it, by first appearance: each
+        // caller's slot in `callers`, reset after every cycle.
+        let mut caller_slot: Vec<Option<usize>> = vec![None; graph.node_count()];
         let mut entries = Vec::with_capacity(units.len());
         for (i, (_, _, unit)) in units.iter().enumerate() {
             let entry = match *unit {
@@ -308,8 +302,8 @@ impl CallGraphProfile {
                     Entry {
                         index: i + 1,
                         kind: EntryKind::Routine(m),
-                        name: display_name(m),
-                        cycle: cycle_number.get(&comp).copied(),
+                        name: display_names[m.index()].clone(),
+                        cycle: cycle_of(m),
                         percent: percent_of(prop.node_total(m)),
                         self_seconds: prop.node_self(m) / cps,
                         desc_seconds: prop.node_desc(m) / cps,
@@ -319,10 +313,12 @@ impl CallGraphProfile {
                     }
                 }
                 Unit::Cycle(comp) => {
-                    let number = cycle_number[&comp];
+                    let number = cycle_number[comp.index()].expect("a numbered cycle");
                     let ext_calls = prop.external_calls_into(comp);
-                    // Aggregate external inbound arcs per caller.
-                    let mut by_caller: HashMap<NodeId, (u64, f64, f64)> = HashMap::new();
+                    // Sum the external inbound arcs per caller, callers in
+                    // the order the members (in SCC order) and then their
+                    // in-arcs first name them.
+                    let mut callers: Vec<(NodeId, u64, f64, f64)> = Vec::new();
                     let mut internal = 0u64;
                     for &member in scc.members(comp) {
                         for &arc_id in graph.in_arcs(member) {
@@ -331,15 +327,22 @@ impl CallGraphProfile {
                                 internal += arc.count;
                                 continue;
                             }
-                            let slot = by_caller.entry(arc.from).or_insert((0, 0.0, 0.0));
-                            slot.0 += arc.count;
-                            slot.1 += prop.arc_self_flow(arc_id) / cps;
-                            slot.2 += prop.arc_desc_flow(arc_id) / cps;
+                            let slot = *caller_slot[arc.from.index()].get_or_insert_with(|| {
+                                callers.push((arc.from, 0, 0.0, 0.0));
+                                callers.len() - 1
+                            });
+                            let caller = &mut callers[slot];
+                            caller.1 += arc.count;
+                            caller.2 += prop.arc_self_flow(arc_id) / cps;
+                            caller.3 += prop.arc_desc_flow(arc_id) / cps;
                         }
                     }
-                    let mut parents: Vec<ArcLine> = by_caller
+                    for &(caller, ..) in &callers {
+                        caller_slot[caller.index()] = None;
+                    }
+                    let mut parents: Vec<ArcLine> = callers
                         .into_iter()
-                        .map(|(p, (count, sf, df))| {
+                        .map(|(p, count, sf, df)| {
                             line_for(p, sf, df, count, Some(ext_calls).filter(|&d| d > 0))
                         })
                         .collect();
@@ -370,7 +373,7 @@ impl CallGraphProfile {
                     Entry {
                         index: i + 1,
                         kind: EntryKind::CycleWhole(comp),
-                        name: format!("<cycle {number} as a whole>"),
+                        name: whole_names[number as usize - 1].clone(),
                         cycle: Some(number),
                         percent: percent_of(prop.comp_total(comp)),
                         self_seconds: prop.comp_self(comp) / cps,
@@ -574,6 +577,34 @@ mod tests {
         assert!((a.desc_seconds - 30.0).abs() < 1e-9);
         assert!((b.self_seconds - 20.0).abs() < 1e-9);
         assert!((b.desc_seconds - 10.0).abs() < 1e-9);
+    }
+
+    /// Two namesakes call into the cycle equally often, so the cycle
+    /// entry's parent lines tie on flow, count and name. Every build must
+    /// list them in one order: the order the cycle's in-arcs first name
+    /// them.
+    #[test]
+    fn cycle_parents_that_tie_keep_one_order() {
+        let mut graph = CallGraph::with_nodes(["main", "dup", "dup", "x", "y"]);
+        let spont = graph.add_node("<spontaneous>");
+        let n = NodeId::new;
+        graph.add_arc(spont, n(0), 1);
+        graph.add_arc(n(0), n(1), 1);
+        graph.add_arc(n(0), n(2), 1);
+        graph.add_arc(n(1), n(3), 5);
+        graph.add_arc(n(2), n(3), 5);
+        graph.add_arc(n(3), n(4), 3);
+        graph.add_arc(n(4), n(3), 2);
+        let fixture = Fixture { graph, spont, self_cycles: vec![1.0, 2.0, 2.0, 10.0, 10.0, 0.0] };
+        let text = crate::render::render_call_graph(&fixture.profile());
+        for _ in 0..50 {
+            assert_eq!(crate::render::render_call_graph(&fixture.profile()), text);
+        }
+        let profile = fixture.profile();
+        let whole = profile.entries().iter().find(|e| e.name == "<cycle 1 as a whole>").unwrap();
+        let parents: Vec<(&str, Option<NodeId>, Option<usize>)> =
+            whole.parents.iter().map(|p| (p.name.as_str(), p.node, p.entry_index)).collect();
+        assert_eq!(parents, [("dup", Some(n(1)), Some(3)), ("dup", Some(n(2)), Some(4))]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::filter::Filter;
 use crate::flat::FlatProfile;
 use crate::options::Options;
 use crate::prepared::PreparedExecutable;
-use crate::profile::{assign_self_cycles, build_graph};
+use crate::profile::{assemble_graph, assign_self_cycles};
 use crate::render;
 
 /// The gprof post-processor.
@@ -100,8 +100,8 @@ impl Gprof {
 
         // Arcs -> call graph (+ static arcs, optionally with indirect
         // call sites resolved by the slot dataflow).
-        let (static_arcs, unresolved_indirect) = prepared.static_arcs(&self.options)?;
-        let resolved = build_graph(exe, gmon.arcs(), static_arcs);
+        let static_pairs = prepared.static_pairs(&self.options)?;
+        let resolved = assemble_graph(exe, gmon.arcs(), &static_pairs.pairs);
         let spontaneous = resolved.spontaneous;
         let mut graph = resolved.graph;
         self_cycles.push(0.0); // the virtual spontaneous node
@@ -154,7 +154,7 @@ impl Gprof {
             removed_arcs,
             unattributed_seconds: unattributed_cycles / self.options.cycles_per_second,
             dropped_arcs: resolved.dropped_arcs,
-            unresolved_indirect,
+            unresolved_indirect: static_pairs.unresolved,
         })
     }
 }

@@ -10,15 +10,16 @@
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use graphprof_callgraph::static_graph::StaticArc;
-use graphprof_callgraph::{discover_arcs_with_indirect, discover_static_arcs, ArcDiscovery};
+use graphprof_callgraph::{discover_arcs_with_indirect, discover_static_arcs, NodeId};
 use graphprof_machine::{DecodeError, Executable};
 
 use crate::options::Options;
+use crate::profile::static_pairs;
 
 /// An executable with its statically apparent call graph: the
-/// direct-call crawl, the slot-dataflow arcs for indirect call sites,
-/// and the count of sites the dataflow could not resolve.
+/// direct-call crawl and the slot-dataflow arcs for indirect call sites,
+/// each site resolved to its `(caller, callee)` node pair, and the count
+/// of sites the dataflow could not resolve.
 ///
 /// Every analysis runs through one of these
 /// ([`Gprof::analyze_prepared`](crate::Gprof::analyze_prepared));
@@ -53,10 +54,19 @@ use crate::options::Options;
 #[derive(Debug)]
 pub struct PreparedExecutable<'e> {
     exe: Cow<'e, Executable>,
-    /// Direct-call arcs alone (`resolve_indirect` off).
-    direct: OnceLock<Result<Vec<StaticArc>, DecodeError>>,
-    /// Direct arcs plus resolved indirect arcs (`resolve_indirect` on).
-    resolved: OnceLock<Result<ArcDiscovery, DecodeError>>,
+    /// Direct-call sites alone (`resolve_indirect` off).
+    direct: OnceLock<Result<StaticPairs, DecodeError>>,
+    /// Direct sites plus resolved indirect sites (`resolve_indirect` on).
+    resolved: OnceLock<Result<StaticPairs, DecodeError>>,
+}
+
+/// One variant of the static call graph, its call sites resolved to
+/// `(caller, callee)` node pairs in crawl order, with the count of
+/// indirect sites the dataflow left unresolved.
+#[derive(Debug)]
+pub(crate) struct StaticPairs {
+    pub(crate) pairs: Vec<(NodeId, NodeId)>,
+    pub(crate) unresolved: usize,
 }
 
 impl PreparedExecutable<'static> {
@@ -89,26 +99,29 @@ impl<'e> PreparedExecutable<'e> {
 
     /// The static arcs an analysis under `options` merges into the
     /// dynamic graph, and how many indirect call sites stay unresolved.
-    pub(crate) fn static_arcs(
-        &self,
-        options: &Options,
-    ) -> Result<(&[StaticArc], usize), DecodeError> {
+    pub(crate) fn static_pairs(&self, options: &Options) -> Result<&StaticPairs, DecodeError> {
+        static NONE: StaticPairs = StaticPairs { pairs: Vec::new(), unresolved: 0 };
         if !options.use_static_graph {
-            Ok((&[], 0))
-        } else if options.resolve_indirect {
-            let discovery = self.resolved().as_ref().map_err(Clone::clone)?;
-            Ok((&discovery.arcs, discovery.unresolved.len()))
-        } else {
-            let arcs = self.direct().as_ref().map_err(Clone::clone)?;
-            Ok((arcs, 0))
+            return Ok(&NONE);
         }
+        let variant = if options.resolve_indirect { self.resolved() } else { self.direct() };
+        variant.as_ref().map_err(Clone::clone)
     }
 
-    fn direct(&self) -> &Result<Vec<StaticArc>, DecodeError> {
-        self.direct.get_or_init(|| discover_static_arcs(&self.exe))
+    fn direct(&self) -> &Result<StaticPairs, DecodeError> {
+        self.direct.get_or_init(|| {
+            let sites = discover_static_arcs(&self.exe)?;
+            Ok(StaticPairs { pairs: static_pairs(self.exe.symbols(), &sites), unresolved: 0 })
+        })
     }
 
-    fn resolved(&self) -> &Result<ArcDiscovery, DecodeError> {
-        self.resolved.get_or_init(|| discover_arcs_with_indirect(&self.exe))
+    fn resolved(&self) -> &Result<StaticPairs, DecodeError> {
+        self.resolved.get_or_init(|| {
+            let discovery = discover_arcs_with_indirect(&self.exe)?;
+            Ok(StaticPairs {
+                pairs: static_pairs(self.exe.symbols(), &discovery.arcs),
+                unresolved: discovery.unresolved.len(),
+            })
+        })
     }
 }

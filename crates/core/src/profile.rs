@@ -147,25 +147,51 @@ pub fn build_graph(
     dynamic: &[RawArc],
     static_arcs: &[(graphprof_machine::Addr, graphprof_machine::Addr)],
 ) -> ResolvedGraph {
+    assemble_graph(exe, dynamic, &static_pairs(exe.symbols(), static_arcs))
+}
+
+/// Resolves static call sites to `(caller, callee)` node pairs, in site
+/// order, dropping a site whose caller or target lies in no routine.
+pub(crate) fn static_pairs(
+    symbols: &SymbolTable,
+    sites: &[(graphprof_machine::Addr, graphprof_machine::Addr)],
+) -> Vec<(NodeId, NodeId)> {
+    sites
+        .iter()
+        .filter_map(|&(from_pc, target)| {
+            Some((node_of(symbols, from_pc)?, node_of(symbols, target)?))
+        })
+        .collect()
+}
+
+/// [`build_graph`] over static arcs already resolved to node pairs: the
+/// dynamic arcs first, then each pair with count zero.
+pub(crate) fn assemble_graph(
+    exe: &Executable,
+    dynamic: &[RawArc],
+    static_pairs: &[(NodeId, NodeId)],
+) -> ResolvedGraph {
     let symbols = exe.symbols();
     let mut graph = CallGraph::with_nodes(symbols.iter().map(|(_, s)| s.name().to_string()));
     let spontaneous = graph.add_node(SPONTANEOUS);
-    let node_of = |pc| symbols.lookup_pc(pc).map(|(id, _)| NodeId::new(id.index() as u32));
     let mut dropped_arcs = 0u64;
     for arc in dynamic {
-        let Some(callee) = node_of(arc.self_pc) else {
+        let Some(callee) = node_of(symbols, arc.self_pc) else {
             dropped_arcs += 1;
             continue;
         };
-        let caller = node_of(arc.from_pc).unwrap_or(spontaneous);
+        let caller = node_of(symbols, arc.from_pc).unwrap_or(spontaneous);
         graph.add_arc(caller, callee, arc.count);
     }
-    for &(from_pc, target) in static_arcs {
-        if let (Some(caller), Some(callee)) = (node_of(from_pc), node_of(target)) {
-            graph.add_arc(caller, callee, 0);
-        }
+    for &(caller, callee) in static_pairs {
+        graph.add_arc(caller, callee, 0);
     }
     ResolvedGraph { graph, spontaneous, dropped_arcs }
+}
+
+/// The graph node of the routine containing `pc`.
+fn node_of(symbols: &SymbolTable, pc: graphprof_machine::Addr) -> Option<NodeId> {
+    symbols.lookup_pc(pc).map(|(id, _)| NodeId::new(id.index() as u32))
 }
 
 #[cfg(test)]
