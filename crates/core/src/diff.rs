@@ -9,7 +9,7 @@
 //! warns "will also become less useful since the loss of routines will
 //! make its output more granular").
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::gprof::Analysis;
@@ -143,36 +143,22 @@ impl ProfileDiff {
 /// Diffs two analyses.
 ///
 /// The analyses may come from different builds of the program (routines
-/// may appear or disappear); matching is by routine name.
+/// may appear or disappear); matching is by routine name, and routines
+/// that share a name pair by occurrence in node order: the k-th `dup`
+/// before matches the k-th `dup` after.
 pub fn diff_profiles(before: &Analysis, after: &Analysis) -> ProfileDiff {
-    let index = |analysis: &Analysis| -> HashMap<String, (f64, f64, usize)> {
-        analysis
-            .flat()
-            .rows()
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                let total = analysis
-                    .call_graph()
-                    .entry(&row.name)
-                    .map(|e| e.total_seconds())
-                    .unwrap_or(row.self_seconds);
-                (row.name.clone(), (row.self_seconds, total, i + 1))
-            })
-            .collect()
-    };
-    let before_map = index(before);
-    let after_map = index(after);
-    let mut names: Vec<&String> = before_map.keys().chain(after_map.keys()).collect();
-    names.sort_unstable();
-    names.dedup();
-    let mut rows: Vec<RoutineDelta> = names
+    let before_map = flat_index(before);
+    let after_map = flat_index(after);
+    let mut keys: Vec<(&str, usize)> = before_map.keys().chain(after_map.keys()).copied().collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut rows: Vec<RoutineDelta> = keys
         .into_iter()
-        .map(|name| {
-            let b = before_map.get(name);
-            let a = after_map.get(name);
+        .map(|key| {
+            let b = before_map.get(&key);
+            let a = after_map.get(&key);
             RoutineDelta {
-                name: name.clone(),
+                name: key.0.to_string(),
                 before_self: b.map(|&(s, _, _)| s),
                 after_self: a.map(|&(s, _, _)| s),
                 before_total: b.map(|&(_, t, _)| t),
@@ -190,6 +176,35 @@ pub fn diff_profiles(before: &Analysis, after: &Analysis) -> ProfileDiff {
             .then_with(|| a.name.cmp(&b.name))
     });
     ProfileDiff { rows, before_total: before.total_seconds(), after_total: after.total_seconds() }
+}
+
+/// Each flat row of `analysis` as `(self seconds, total seconds, rank)`,
+/// keyed by its name and how many earlier nodes share that name.
+fn flat_index(analysis: &Analysis) -> BTreeMap<(&str, usize), (f64, f64, usize)> {
+    let graph = analysis.graph();
+    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+    let occurrence: Vec<usize> = graph
+        .nodes()
+        .map(|node| {
+            let count = seen.entry(graph.name(node)).or_default();
+            *count += 1;
+            *count - 1
+        })
+        .collect();
+    let prop = analysis.propagation();
+    let cps = analysis.cycles_per_second();
+    analysis
+        .flat()
+        .rows()
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            // Read by node, as the regress engine reads it: the sum
+            // `Entry::total_seconds` takes for the node's own entry.
+            let total = prop.node_self(row.node) / cps + prop.node_desc(row.node) / cps;
+            ((row.name.as_str(), occurrence[row.node.index()]), (row.self_seconds, total, i + 1))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -278,6 +293,55 @@ mod tests {
         for row in diff.rows() {
             assert_eq!(row.self_delta(), 0.0, "{row:?}");
             assert_eq!(row.before_rank, row.after_rank);
+        }
+    }
+
+    /// The symbol table accepts repeated names. Each namesake must get a
+    /// row of its own, with its own total.
+    #[test]
+    fn namesakes_are_diffed_with_their_own_totals() {
+        use graphprof_machine::{Executable, Program, Symbol, SymbolTable};
+        let mut b = Program::builder();
+        b.routine("main", |r| r.call("a").call("b"));
+        b.routine("a", |r| r.work(50).call_n("leaf", 20));
+        b.routine("b", |r| r.work(500));
+        b.routine("leaf", |r| r.work(10));
+        let exe = b.build().unwrap().compile(&CompileOptions::profiled()).unwrap();
+        let renamed = exe
+            .symbols()
+            .iter()
+            .map(|(_, s)| {
+                let name = if matches!(s.name(), "a" | "b") { "dup" } else { s.name() };
+                Symbol::new(name, s.addr(), s.size(), s.profiled())
+            })
+            .collect();
+        let exe = Executable::new(
+            exe.base(),
+            exe.text().to_vec(),
+            SymbolTable::new(renamed),
+            exe.entry(),
+        );
+        let (gmon, _) = profile_to_completion(exe.clone(), 10).unwrap();
+        let analysis = Gprof::new(Options::default()).analyze(&exe, &gmon).unwrap();
+        let (graph, prop) = (analysis.graph(), analysis.propagation());
+        let cps = analysis.cycles_per_second();
+        let mut expected: Vec<f64> = graph
+            .nodes()
+            .filter(|&n| graph.name(n) == "dup")
+            .map(|n| prop.node_self(n) / cps + prop.node_desc(n) / cps)
+            .collect();
+        expected.sort_by(f64::total_cmp);
+        assert_ne!(expected[0], expected[1], "the namesakes differ");
+
+        let diff = diff_profiles(&analysis, &analysis);
+        let dups: Vec<&RoutineDelta> = diff.rows().iter().filter(|r| r.name == "dup").collect();
+        let mut totals: Vec<f64> = dups.iter().filter_map(|r| r.after_total).collect();
+        totals.sort_by(f64::total_cmp);
+        assert_eq!(totals, expected, "{dups:?}");
+        for row in dups {
+            assert_eq!(row.before_total, row.after_total, "{row:?}");
+            assert_eq!(row.before_self, row.after_self, "{row:?}");
+            assert_eq!(row.before_rank, row.after_rank, "{row:?}");
         }
     }
 
