@@ -26,6 +26,7 @@
 //! profiles), the regress engine's (scores, verdicts and reports) and the
 //! profile diff's (text and JSON).
 
+use graphprof::profile::{assign_sample_moments, assign_self_cycles};
 use graphprof::{Analysis, Gprof, Options};
 use graphprof_analysis::ProfileChecker;
 use graphprof_machine::{
@@ -622,4 +623,72 @@ fn diff_reports_match_the_pinned_digests() {
         .map(|(name, tick, digest)| format!("    ({name:?}, {tick}, {digest:#018x}),\n"))
         .collect();
     assert!(actual == DIFF_DIGESTS, "profile diffs moved; digests now read:\n{table}");
+}
+
+/// FNV-1a-64 of the exact bits of `assign_self_cycles` and
+/// `assign_sample_moments` over one workload profiled at histogram
+/// `shift`, at every tick granularity of the post-processor digests:
+/// every routine's share and the unattributed remainder of both.
+fn coarse_shift_digest(exe: &Executable, shift: u8) -> u64 {
+    let mut bits = Vec::new();
+    for tick in [1u64, 7, 64] {
+        let gmon = profile_optimized(exe, tick, shift, true, None);
+        let (cycles, lost) = assign_self_cycles(gmon.histogram(), exe.symbols(), tick);
+        bits.extend(cycles.into_iter().chain([lost]).map(f64::to_bits));
+        let (moments, (lost_mean, lost_var)) =
+            assign_sample_moments(gmon.histogram(), exe.symbols());
+        for (mean, var) in moments.into_iter().chain([(lost_mean, lost_var)]) {
+            bits.extend([mean, var].map(f64::to_bits));
+        }
+    }
+    let bytes: Vec<u8> = bits.iter().flat_map(|b| b.to_le_bytes()).collect();
+    fnv1a64(&[&bytes])
+}
+
+/// `(workload, histogram shift, digest)`, generated by the two bucket
+/// walks that each copied the symbol table before walking. At shifts
+/// above 0 a boundary bucket is apportioned between routines, where
+/// `count·tick·overlap/len` and `count·(overlap/len)` round differently;
+/// any change to either walk must reproduce these exactly.
+#[rustfmt::skip]
+const COARSE_SHIFT_DIGESTS: &[(&str, u8, u64)] = &[
+    ("figure4", 1, 0x6565bb73d33ae0ef),
+    ("figure4", 3, 0x0258c5a26aac7ac9),
+    ("figure4", 7, 0xa75d5796b783e2e2),
+    ("kernel", 1, 0x6ecb24bde5f2b2db),
+    ("kernel", 3, 0x462e7eee923410e1),
+    ("kernel", 7, 0xb1bf20744361ee6c),
+    ("fan-out", 1, 0x86303faee88690af),
+    ("fan-out", 3, 0xda3244da00e32bfe),
+    ("fan-out", 7, 0xb098b92c8f3f9a18),
+    ("fan-in", 1, 0x91e75bed8ede2e2d),
+    ("fan-in", 3, 0x1f75549fbe029776),
+    ("fan-in", 7, 0xdc5469bb1df17403),
+    ("dag", 1, 0xc45b0db4322e0e97),
+    ("dag", 3, 0x0ff4a883313d1af3),
+    ("dag", 7, 0x34b079195f997e4f),
+    ("compiler", 1, 0x65c0a5bd062d7949),
+    ("compiler", 3, 0x071d050ee266ef82),
+    ("compiler", 7, 0x718ef3b1f90c61ee),
+];
+
+/// Pins self-time and sample-moment apportioning at coarse histogram
+/// granularities, which the other digests (all at shift 0) leave open.
+#[test]
+fn coarse_shift_apportioning_matches_the_pinned_digests() {
+    let mut actual = Vec::new();
+    for (name, program) in workloads() {
+        let exe = program.compile(&CompileOptions::profiled()).expect("compiles");
+        for shift in [1u8, 3, 7] {
+            actual.push((name, shift, coarse_shift_digest(&exe, shift)));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, shift, digest)| format!("    ({name:?}, {shift}, {digest:#018x}),\n"))
+        .collect();
+    assert!(
+        actual == COARSE_SHIFT_DIGESTS,
+        "coarse-shift apportioning moved; digests now read:\n{table}"
+    );
 }
