@@ -353,70 +353,100 @@ fn canonical_cycle_sets(comps: &[Vec<usize>], names: &[String]) -> Vec<Vec<Strin
     sets
 }
 
-/// Tarjan's strongly-connected components over a compact adjacency
-/// list, iteratively (no recursion, so deep graphs are fine).
+/// Tarjan's strongly-connected components algorithm, iteratively (an
+/// explicit frame stack, so deep graphs cannot overflow the host
+/// stack). This is the one search behind both the post-processor's
+/// cycle collapse (`SccResult::analyze` in `graphprof-callgraph`) and
+/// the analyzer's static and merged graphs.
 ///
-/// Components come back in reverse topological order — every edge goes
-/// from a later component to an earlier one — with each component's
-/// members sorted ascending. Exposed for the differential test that
-/// pins this implementation against the call-graph crate's.
-pub fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+/// Nodes are `0..n`; `succ(v)` yields `v`'s successors. Roots are tried
+/// in index order and successors are visited in the order `succ` yields
+/// them. Each component is handed to `component` as it is popped, as the
+/// slice of the search stack it occupies, so its members come in
+/// discovery order. A component is popped only after every component it
+/// reaches, so the pop sequence is a reverse topological order of the
+/// condensation: every edge between components runs from a later one to
+/// an earlier one.
+///
+/// ```
+/// use graphprof_analysis::strongly_connected;
+///
+/// // 0 -> 1 -> 2 -> 1: {1, 2} is a cycle and pops before {0}.
+/// let succ = [vec![1], vec![2], vec![1]];
+/// let mut comps = Vec::new();
+/// strongly_connected(3, |v| succ[v].iter().copied(), |comp| comps.push(comp.to_vec()));
+/// assert_eq!(comps, [vec![1, 2], vec![0]]);
+/// ```
+pub fn strongly_connected<I: Iterator<Item = usize>>(
+    n: usize,
+    mut succ: impl FnMut(usize) -> I,
+    mut component: impl FnMut(&[usize]),
+) {
     const UNVISITED: usize = usize::MAX;
-    let n = succ.len();
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut comps: Vec<Vec<usize>> = Vec::new();
-    // Explicit DFS frames: (node, next child position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-
+    // Explicit DFS frames: (node, its successors not yet examined).
+    let mut frames: Vec<(usize, I)> = Vec::new();
     for root in 0..n {
         if index[root] != UNVISITED {
             continue;
         }
-        frames.push((root, 0));
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if let Some(&w) = succ[v].get(*child) {
-                *child += 1;
+        // The next node to open: the root, then each unvisited successor.
+        let mut enter = Some(root);
+        loop {
+            if let Some(v) = enter.take() {
+                index[v] = next_index;
+                lowlink[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v] = true;
+                frames.push((v, succ(v)));
+            }
+            let Some((v, successors)) = frames.last_mut() else { break };
+            let v = *v;
+            if let Some(w) = successors.next() {
                 if index[w] == UNVISITED {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    frames.push((w, 0));
+                    enter = Some(w);
                 } else if on_stack[w] {
                     lowlink[v] = lowlink[v].min(index[w]);
                 }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                lowlink[parent] = lowlink[parent].min(lowlink[v]);
+            }
+            if lowlink[v] == index[v] {
+                // v is the root of a component: everything above it on
+                // the stack.
+                let start = stack.iter().rposition(|&w| w == v).expect("component root on stack");
+                for &w in &stack[start..] {
+                    on_stack[w] = false;
                 }
-                if lowlink[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort_unstable();
-                    comps.push(comp);
-                }
+                component(&stack[start..]);
+                stack.truncate(start);
             }
         }
     }
+}
+
+/// [`strongly_connected`] collected, each component sorted by node index
+/// (= address order): the cycle checks binary-search a component's
+/// members and compare components by `==`.
+fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let mut comps = Vec::new();
+    strongly_connected(
+        succ.len(),
+        |v| succ[v].iter().copied(),
+        |members| {
+            let mut comp = members.to_vec();
+            comp.sort_unstable();
+            comps.push(comp);
+        },
+    );
     comps
 }
 

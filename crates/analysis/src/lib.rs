@@ -43,7 +43,7 @@ pub mod lint;
 pub mod report;
 pub mod rules;
 
-pub use callgraph_analysis::{analyze_profile, ProgramGraph};
+pub use callgraph_analysis::{analyze_profile, strongly_connected, ProgramGraph};
 pub use cfg::{build_cfg, BasicBlock, BlockId, Cfg};
 pub use checker::ProfileChecker;
 pub use dataflow::{

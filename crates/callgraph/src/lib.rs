@@ -13,19 +13,15 @@
 //!   cycles without propagating time;
 //! * [`arc_removal`] — the retrospective's cycle-breaking facility: apply
 //!   a user-chosen arc set, or search for one (the underlying problem is
-//!   NP-complete, so the search is bounded);
-//! * [`condensed`] — the §4 condensation materialized as a graph: one
-//!   node per component, arcs aggregated, provably acyclic.
+//!   NP-complete, so the search is bounded).
 
 pub mod arc_removal;
-pub mod condensed;
 pub mod graph;
 pub mod propagate;
 pub mod static_graph;
 pub mod tarjan;
 
 pub use arc_removal::{break_cycles_exact, break_cycles_greedy, RemovalOutcome};
-pub use condensed::{CondensedArc, CondensedGraph};
 pub use graph::{Arc, ArcId, CallGraph, NodeId};
 pub use propagate::{propagate, propagate_jobs, Propagation};
 pub use static_graph::{

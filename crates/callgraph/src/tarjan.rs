@@ -9,10 +9,13 @@
 //! runs from a higher-numbered component to a lower-numbered one, exactly
 //! the property Figure 1 of the paper illustrates.
 //!
-//! The implementation is iterative (explicit work stack) so that
+//! The search itself is [`graphprof_analysis::strongly_connected`], the
+//! one iterative Tarjan the analyzer's static graph also runs on, so
 //! pathologically deep graphs cannot overflow the host stack.
 
 use std::fmt;
+
+use graphprof_analysis::strongly_connected;
 
 use crate::graph::{CallGraph, NodeId};
 
@@ -68,9 +71,29 @@ pub struct SccResult {
 }
 
 impl SccResult {
-    /// Runs the analysis.
+    /// Runs the analysis: roots in node order, successors in out-arc
+    /// order.
     pub fn analyze(graph: &CallGraph) -> SccResult {
-        Tarjan::run(graph)
+        let n = graph.node_count();
+        let mut comp_of = vec![CompId(0); n];
+        let mut comps: Vec<Vec<NodeId>> = Vec::new();
+        let mut has_self_arc = Vec::new();
+        strongly_connected(
+            n,
+            |v| graph.out_arcs(NodeId::new(v as u32)).iter().map(|&arc| graph.arc(arc).to.index()),
+            |members| {
+                let comp = CompId(comps.len() as u32);
+                let members: Vec<NodeId> = members.iter().map(|&v| NodeId::new(v as u32)).collect();
+                for &m in &members {
+                    comp_of[m.index()] = comp;
+                }
+                has_self_arc.push(
+                    members.len() == 1 && graph.arc_between(members[0], members[0]).is_some(),
+                );
+                comps.push(members);
+            },
+        );
+        SccResult { comp_of, comps, has_self_arc }
     }
 
     /// The component containing `node`.
@@ -128,109 +151,6 @@ impl SccResult {
     /// Component ids of cycles only (size ≥ 2), in pop order.
     pub fn cycles(&self) -> Vec<CompId> {
         self.comps().filter(|&c| self.is_cycle(c)).collect()
-    }
-}
-
-struct Tarjan<'g> {
-    graph: &'g CallGraph,
-    index: Vec<u32>,
-    lowlink: Vec<u32>,
-    on_stack: Vec<bool>,
-    stack: Vec<NodeId>,
-    next_index: u32,
-    comp_of: Vec<CompId>,
-    comps: Vec<Vec<NodeId>>,
-}
-
-const UNVISITED: u32 = u32::MAX;
-
-impl<'g> Tarjan<'g> {
-    fn run(graph: &'g CallGraph) -> SccResult {
-        let n = graph.node_count();
-        let mut t = Tarjan {
-            graph,
-            index: vec![UNVISITED; n],
-            lowlink: vec![0; n],
-            on_stack: vec![false; n],
-            stack: Vec::new(),
-            next_index: 0,
-            comp_of: vec![CompId(0); n],
-            comps: Vec::new(),
-        };
-        for v in graph.nodes() {
-            if t.index[v.index()] == UNVISITED {
-                t.visit(v);
-            }
-        }
-        let has_self_arc = t
-            .comps
-            .iter()
-            .map(|members| {
-                members.len() == 1 && graph.arc_between(members[0], members[0]).is_some()
-            })
-            .collect();
-        SccResult { comp_of: t.comp_of, comps: t.comps, has_self_arc }
-    }
-
-    /// Iterative depth-first search from `root`.
-    fn visit(&mut self, root: NodeId) {
-        // Each frame: (node, index of the next out-arc to examine).
-        let mut frames: Vec<(NodeId, usize)> = Vec::new();
-        self.open(root);
-        frames.push((root, 0));
-        while !frames.is_empty() {
-            let (v, pending_arc) = {
-                let frame = frames.last_mut().expect("loop guard");
-                let v = frame.0;
-                let out = self.graph.out_arcs(v);
-                if frame.1 < out.len() {
-                    let arc_id = out[frame.1];
-                    frame.1 += 1;
-                    (v, Some(arc_id))
-                } else {
-                    (v, None)
-                }
-            };
-            if let Some(arc_id) = pending_arc {
-                let w = self.graph.arc(arc_id).to;
-                if self.index[w.index()] == UNVISITED {
-                    self.open(w);
-                    frames.push((w, 0));
-                } else if self.on_stack[w.index()] {
-                    self.lowlink[v.index()] = self.lowlink[v.index()].min(self.index[w.index()]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    self.lowlink[parent.index()] =
-                        self.lowlink[parent.index()].min(self.lowlink[v.index()]);
-                }
-                if self.lowlink[v.index()] == self.index[v.index()] {
-                    // v is the root of a component: pop it.
-                    let comp = CompId(self.comps.len() as u32);
-                    let mut members = Vec::new();
-                    loop {
-                        let w = self.stack.pop().expect("component member on stack");
-                        self.on_stack[w.index()] = false;
-                        self.comp_of[w.index()] = comp;
-                        members.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    members.reverse();
-                    self.comps.push(members);
-                }
-            }
-        }
-    }
-
-    fn open(&mut self, v: NodeId) {
-        self.index[v.index()] = self.next_index;
-        self.lowlink[v.index()] = self.next_index;
-        self.next_index += 1;
-        self.stack.push(v);
-        self.on_stack[v.index()] = true;
     }
 }
 

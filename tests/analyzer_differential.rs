@@ -1,14 +1,14 @@
 //! Differential properties pinning the static analyzer to the
 //! propagation pipeline.
 //!
-//! Two independent implementations compute cycle structure: the
-//! analyzer's Tarjan pass over its own whole-program static graph
-//! ([`ProgramGraph::static_cycle_sets`]) and the `SccResult` the
-//! post-processor's `propagate` pass collapses (exposed as
-//! [`Analysis::cycle_sets`]). On programs whose calls are all direct,
-//! every dynamic arc is also a static arc, so the two graphs have the
-//! same edges and the two cycle answers must agree exactly — for any
-//! generated program, cyclic or not.
+//! Two graph constructions feed one Tarjan search
+//! (`graphprof_analysis::strongly_connected`): the analyzer's
+//! whole-program static graph ([`ProgramGraph::static_cycle_sets`]) and
+//! the merged graph whose `SccResult` the post-processor's `propagate`
+//! pass collapses (exposed as [`Analysis::cycle_sets`]). On programs
+//! whose calls are all direct, every dynamic arc is also a static arc,
+//! so the two graphs have the same edges and the two cycle answers must
+//! agree exactly — for any generated program, cyclic or not.
 //!
 //! The second property is the analyzer's false-positive guarantee: an
 //! end-to-end profile of a fully reachable program raises no findings
