@@ -34,26 +34,13 @@ pub fn assign_self_cycles(
     let mut out = vec![0.0; symbols.len()];
     let tick = cycles_per_tick as f64;
     let mut unattributed = histogram.missed() as f64 * tick;
-    let syms: Vec<_> = symbols.iter().collect();
-    let mut lower = 0usize;
-    for (i, count) in histogram.iter_nonzero() {
-        let (bucket_start, bucket_end) = histogram.bucket_range(i);
+    for (count, bucket_len, overlaps) in bucket_overlaps(histogram, symbols) {
         let cycles = count as f64 * tick;
-        let bucket_len = f64::from(bucket_end.get() - bucket_start.get());
-        // Buckets come in address order, so the scan cursor only advances.
-        while lower < syms.len() && syms[lower].1.end() <= bucket_start {
-            lower += 1;
-        }
         let mut attributed = 0.0;
-        let mut j = lower;
-        while j < syms.len() && syms[j].1.addr() < bucket_end {
-            let overlap_start = syms[j].1.addr().max(bucket_start);
-            let overlap_end = syms[j].1.end().min(bucket_end);
-            let overlap = f64::from(overlap_end.get() - overlap_start.get());
+        for (j, overlap) in overlaps {
             let share = cycles * overlap / bucket_len;
-            out[syms[j].0.index()] += share;
+            out[j] += share;
             attributed += share;
-            j += 1;
         }
         unattributed += cycles - attributed;
     }
@@ -83,33 +70,48 @@ pub fn assign_sample_moments(
 ) -> (Vec<(f64, f64)>, (f64, f64)) {
     let mut out = vec![(0.0, 0.0); symbols.len()];
     let mut unattributed = (histogram.missed() as f64, histogram.missed() as f64);
-    let syms: Vec<_> = symbols.iter().collect();
-    let mut lower = 0usize;
-    for (i, count) in histogram.iter_nonzero() {
-        let (bucket_start, bucket_end) = histogram.bucket_range(i);
+    for (count, bucket_len, overlaps) in bucket_overlaps(histogram, symbols) {
         let samples = count as f64;
-        let bucket_len = f64::from(bucket_end.get() - bucket_start.get());
-        // Buckets come in address order, so the scan cursor only advances.
-        while lower < syms.len() && syms[lower].1.end() <= bucket_start {
-            lower += 1;
-        }
         let mut attributed = 0.0;
-        let mut j = lower;
-        while j < syms.len() && syms[j].1.addr() < bucket_end {
-            let overlap_start = syms[j].1.addr().max(bucket_start);
-            let overlap_end = syms[j].1.end().min(bucket_end);
-            let overlap = f64::from(overlap_end.get() - overlap_start.get());
+        for (j, overlap) in overlaps {
             let fraction = overlap / bucket_len;
-            let (mean, var) = &mut out[syms[j].0.index()];
+            let (mean, var) = &mut out[j];
             *mean += samples * fraction;
             *var += samples * fraction * fraction;
             attributed += samples * fraction;
-            j += 1;
         }
         unattributed.0 += samples - attributed;
         unattributed.1 += samples - attributed;
     }
     (out, unattributed)
+}
+
+/// The bucket walk both assignments share: each nonzero bucket in
+/// address order, as `(count, bucket bytes, overlaps)`, where `overlaps`
+/// yields `(symbol index, bytes the routine shares with the bucket)` for
+/// every routine the bucket touches.
+fn bucket_overlaps<'a>(
+    histogram: &'a Histogram,
+    symbols: &'a SymbolTable,
+) -> impl Iterator<Item = (u64, f64, impl Iterator<Item = (usize, f64)> + 'a)> + 'a {
+    let symbol = move |j: usize| symbols.symbol(SymbolId::new(j as u32));
+    let mut lower = 0usize;
+    histogram.iter_nonzero().map(move |(i, count)| {
+        let (bucket_start, bucket_end) = histogram.bucket_range(i);
+        let bucket_len = f64::from(bucket_end.get() - bucket_start.get());
+        // Buckets come in address order, so the scan cursor only advances.
+        while lower < symbols.len() && symbol(lower).end() <= bucket_start {
+            lower += 1;
+        }
+        let overlaps = (lower..symbols.len())
+            .take_while(move |&j| symbol(j).addr() < bucket_end)
+            .map(move |j| {
+                let overlap_start = symbol(j).addr().max(bucket_start);
+                let overlap_end = symbol(j).end().min(bucket_end);
+                (j, f64::from(overlap_end.get() - overlap_start.get()))
+            });
+        (count, bucket_len, overlaps)
+    })
 }
 
 /// A call graph resolved from raw arc records.
