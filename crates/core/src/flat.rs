@@ -71,7 +71,7 @@ impl FlatProfile {
             }
             let self_seconds = self_cycles[node.index()] / cycles_per_second;
             let calls_in = graph.calls_into(node);
-            if calls_in == 0 && self_seconds == 0.0 {
+            if !is_listed(calls_in, self_seconds) {
                 never_called.push(graph.name(node).to_string());
                 continue;
             }
@@ -128,6 +128,13 @@ impl FlatProfile {
     pub fn row(&self, name: &str) -> Option<&FlatRow> {
         self.rows.iter().find(|r| r.name == name)
     }
+}
+
+/// Whether a routine gets a row of the flat profile: it was called
+/// (`calls_in` arcs in, recursive ones included) or sampled (`self_seconds`
+/// not 0). The rest make up the never-called listing.
+pub fn is_listed(calls_in: u64, self_seconds: f64) -> bool {
+    calls_in != 0 || self_seconds != 0.0
 }
 
 #[cfg(test)]

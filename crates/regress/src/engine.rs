@@ -26,6 +26,7 @@
 //! `sum/K`, whose variance shrinks as `var/K²` — the usual
 //! standard-error-of-the-mean scaling.
 
+use graphprof::flat::is_listed;
 use graphprof::profile::assign_sample_moments;
 use graphprof::{Analysis, AnalyzeError, Gprof, Options, PreparedExecutable};
 use graphprof_machine::Executable;
@@ -155,13 +156,13 @@ pub fn compare_prepared(
 
     let (moments_b, _) = assign_sample_moments(before.histogram(), symbols);
     let (moments_a, _) = assign_sample_moments(after.histogram(), symbols);
-    let calls_b = calls_per_symbol(exe, before);
-    let calls_a = calls_per_symbol(exe, after);
     let gprof = Gprof::new(Options::default());
     let analysis_b = gprof.analyze_prepared(prepared, before)?;
     let analysis_a = gprof.analyze_prepared(prepared, after)?;
-    let totals_b = totals_in_ticks(&analysis_b, before, symbols.len());
-    let totals_a = totals_in_ticks(&analysis_a, after, symbols.len());
+    let calls_b = calls_per_symbol(&analysis_b, symbols.len());
+    let calls_a = calls_per_symbol(&analysis_a, symbols.len());
+    let totals_b = totals_in_ticks(&analysis_b, before, &calls_b);
+    let totals_a = totals_in_ticks(&analysis_a, after, &calls_a);
 
     // The conservative variance bound for propagated totals: every
     // sample of the run can end up in a routine's total.
@@ -261,35 +262,35 @@ fn pct_of(delta: f64, base: f64) -> f64 {
     }
 }
 
-fn calls_per_symbol(exe: &Executable, gmon: &GmonData) -> Vec<u64> {
-    let symbols = exe.symbols();
-    let mut out = vec![0u64; symbols.len()];
-    for arc in gmon.arcs() {
-        if let Some((id, _)) = symbols.lookup_pc(arc.self_pc) {
-            out[id.index()] += arc.count;
-        }
-    }
-    out
+/// Calls into each symbol's routine, read from the analysis's graph:
+/// under default options no arc is excluded or broken, so these are the
+/// profile's arc counts summed by callee. Symbol nodes share the symbol's
+/// index; the `<spontaneous>` node comes after them.
+fn calls_per_symbol(analysis: &Analysis, nsyms: usize) -> Vec<u64> {
+    let graph = analysis.graph();
+    graph.nodes().take(nsyms).map(|node| graph.calls_into(node)).collect()
 }
 
 /// Propagated self+descendants time per symbol, converted back to ticks
 /// so all three comparators speak one unit. Routines the flat profile
-/// lists (called or sampled) get a total; the rest stay zero.
-fn totals_in_ticks(analysis: &Analysis, gmon: &GmonData, nsyms: usize) -> Vec<f64> {
+/// lists (called or sampled, by [`is_listed`]) get a total; the rest stay
+/// zero.
+fn totals_in_ticks(analysis: &Analysis, gmon: &GmonData, calls: &[u64]) -> Vec<f64> {
     let cps = analysis.cycles_per_second();
     let ticks_per_second = cps / gmon.cycles_per_tick() as f64;
     let prop = analysis.propagation();
-    let mut out = vec![0.0; nsyms];
-    for row in analysis.flat().rows() {
-        // Read by node, so namesakes keep their own totals; the sum is
-        // the one `Entry::total_seconds` takes for the node's entry.
-        let total = prop.node_self(row.node) / cps + prop.node_desc(row.node) / cps;
-        // Flat rows are call-graph nodes; symbol nodes share the symbol's
-        // index (the `<spontaneous>` node comes after them and is skipped).
-        let idx = row.node.index();
-        if idx < out.len() {
-            out[idx] = total * ticks_per_second;
-        }
-    }
-    out
+    analysis
+        .graph()
+        .nodes()
+        .zip(calls)
+        .map(|(node, &calls)| {
+            if !is_listed(calls, prop.node_self(node) / cps) {
+                return 0.0;
+            }
+            // Read by node, so namesakes keep their own totals; the sum is
+            // the one `Entry::total_seconds` takes for the node's entry.
+            let total = prop.node_self(node) / cps + prop.node_desc(node) / cps;
+            total * ticks_per_second
+        })
+        .collect()
 }
