@@ -26,7 +26,7 @@ pub enum Filter {
     Exclude(Vec<String>),
     /// Show the part of the graph containing the named routine: the
     /// routine itself plus everything it can reach and everything that can
-    /// reach it.
+    /// reach it. A name shared by several routines focuses on all of them.
     Focus(String),
 }
 

@@ -106,17 +106,22 @@ impl Gprof {
         let mut graph = resolved.graph;
         self_cycles.push(0.0); // the virtual spontaneous node
 
-        // Manual arc exclusions.
+        // Manual arc exclusions: every routine named `from` to every
+        // routine named `to`.
         if !self.options.excluded_arcs.is_empty() {
+            let named = |name: &String| {
+                let nodes: Vec<NodeId> = graph.nodes().filter(|&n| graph.name(n) == name).collect();
+                if nodes.is_empty() {
+                    return Err(AnalyzeError::UnknownRoutine { name: name.clone() });
+                }
+                Ok(nodes)
+            };
             let mut pairs = Vec::new();
             for (from, to) in &self.options.excluded_arcs {
-                let f = graph
-                    .node_by_name(from)
-                    .ok_or_else(|| AnalyzeError::UnknownRoutine { name: from.clone() })?;
-                let t = graph
-                    .node_by_name(to)
-                    .ok_or_else(|| AnalyzeError::UnknownRoutine { name: to.clone() })?;
-                pairs.push((f, t));
+                let (callers, callees) = (named(from)?, named(to)?);
+                for f in callers {
+                    pairs.extend(callees.iter().map(|&t| (f, t)));
+                }
             }
             graph = graph.without_arcs(&pairs);
         }
@@ -318,13 +323,12 @@ impl Analysis {
                 })
                 .collect(),
             Filter::Focus(name) => {
-                let Some(focus) = self.graph.node_by_name(name) else {
-                    return Vec::new();
-                };
-                let mut keep: HashSet<NodeId> = HashSet::new();
-                keep.insert(focus);
+                // Every routine with the name; none selects nothing.
+                let focus = self.graph.nodes().filter(|&n| self.graph.name(n) == name);
+                let focus: Vec<NodeId> = focus.collect();
+                let mut keep: HashSet<NodeId> = focus.iter().copied().collect();
                 // Descendants.
-                let mut stack = vec![focus];
+                let mut stack = focus.clone();
                 while let Some(v) = stack.pop() {
                     for &a in self.graph.out_arcs(v) {
                         let w = self.graph.arc(a).to;
@@ -334,9 +338,8 @@ impl Analysis {
                     }
                 }
                 // Ancestors.
-                let mut stack = vec![focus];
-                let mut seen: HashSet<NodeId> = HashSet::new();
-                seen.insert(focus);
+                let mut seen: HashSet<NodeId> = focus.iter().copied().collect();
+                let mut stack = focus;
                 while let Some(v) = stack.pop() {
                     for &a in self.graph.in_arcs(v) {
                         let w = self.graph.arc(a).from;
@@ -696,6 +699,66 @@ mod tests {
         let sets = analyze(&exe, &gmon).unwrap().cycle_sets();
         // Members sorted within the set regardless of call order.
         assert_eq!(sets, vec![vec!["x".to_string(), "y".to_string()]]);
+    }
+
+    /// `main` calls `a` and `b`, both renamed `dup`: the symbol table
+    /// accepts repeated names.
+    fn namesakes() -> (Executable, GmonData) {
+        use graphprof_machine::{Program, Symbol, SymbolTable};
+        let mut b = Program::builder();
+        b.routine("main", |r| r.call("a").call("b"));
+        b.routine("a", |r| r.work(50).call_n("leaf", 20));
+        b.routine("b", |r| r.work(500));
+        b.routine("leaf", |r| r.work(10));
+        let exe = b.build().unwrap().compile(&CompileOptions::profiled()).unwrap();
+        let renamed = exe
+            .symbols()
+            .iter()
+            .map(|(_, s)| {
+                let name = if matches!(s.name(), "a" | "b") { "dup" } else { s.name() };
+                Symbol::new(name, s.addr(), s.size(), s.profiled())
+            })
+            .collect();
+        let exe = Executable::new(
+            exe.base(),
+            exe.text().to_vec(),
+            SymbolTable::new(renamed),
+            exe.entry(),
+        );
+        let (gmon, _) = profile_to_completion(exe.clone(), 10).unwrap();
+        (exe, gmon)
+    }
+
+    #[test]
+    fn focus_and_arc_exclusion_act_on_every_namesake() {
+        let (exe, gmon) = namesakes();
+        let focus = Gprof::new(Options::default().filter(Filter::Focus("dup".into())))
+            .analyze(&exe, &gmon)
+            .unwrap();
+        let graph = focus.graph();
+        let dups: Vec<NodeId> = graph.nodes().filter(|&n| graph.name(n) == "dup").collect();
+        assert_eq!(dups.len(), 2);
+        let selected: Vec<NodeId> = focus
+            .selected_entries()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EntryKind::Routine(node) => Some(node),
+                EntryKind::CycleWhole(_) => None,
+            })
+            .collect();
+        for dup in &dups {
+            assert!(selected.contains(dup), "focus on dup drops {dup}: {selected:?}");
+        }
+
+        let excluded =
+            Gprof::new(Options::default().exclude_arc("main", "dup")).analyze(&exe, &gmon).unwrap();
+        let graph = excluded.graph();
+        let main = graph.node_by_name("main").unwrap();
+        for &dup in &dups {
+            assert!(graph.arc_between(main, dup).is_none(), "arc main -> {dup} kept");
+        }
+        let gprof = Gprof::new(Options::default().exclude_arc("main", "ghost"));
+        assert!(matches!(gprof.analyze(&exe, &gmon), Err(AnalyzeError::UnknownRoutine { .. })));
     }
 
     #[test]

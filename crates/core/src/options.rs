@@ -69,7 +69,9 @@ impl Options {
         self
     }
 
-    /// Excludes the arc from `caller` to `callee` from the analysis.
+    /// Excludes the arc from `caller` to `callee` from the analysis. A
+    /// name shared by several routines names all of them, so the arcs
+    /// between every such caller and callee go.
     pub fn exclude_arc(mut self, caller: impl Into<String>, callee: impl Into<String>) -> Self {
         self.excluded_arcs.push((caller.into(), callee.into()));
         self
