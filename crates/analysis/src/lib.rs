@@ -7,7 +7,7 @@
 //! the broader question of whether a profile can be *trusted*, in three
 //! passes that build on one another:
 //!
-//! * [`cfg`] — per-routine control-flow graphs: basic blocks over the
+//! * [`cfg`](mod@cfg) — per-routine control-flow graphs: basic blocks over the
 //!   decoded text, with successor edges from the branch instructions.
 //!   Blocks partition every instruction of a routine exactly once, so
 //!   anything proved block-wise is proved instruction-wise.

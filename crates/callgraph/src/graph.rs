@@ -6,7 +6,7 @@
 //! the post-processor works on: arcs from distinct call sites in the same
 //! caller are summed into one caller→callee arc, dynamic arcs carry their
 //! traversal counts, and statically discovered arcs carry count zero so
-//! they "are never responsible for any time propagation [but] may affect
+//! they "are never responsible for any time propagation \[but\] may affect
 //! the structure of the graph" (§4).
 
 use std::collections::HashMap;

@@ -5,7 +5,7 @@
 //! * [`tarjan`] — the variant of Tarjan's strongly-connected-components
 //!   algorithm "that discovers strongly-connected components as it is
 //!   assigning topological order numbers";
-//! * [`propagate`] — time propagation from callees to callers along the
+//! * [`propagate`](mod@propagate) — time propagation from callees to callers along the
 //!   collapsed, topologically ordered graph, per the recurrence
 //!   `T_r = S_r + Σ T_e · C_e^r / C_e`;
 //! * [`static_graph`] — discovery of statically apparent arcs by crawling

@@ -2,7 +2,7 @@
 //!
 //! "We use a variation of Tarjan's strongly-connected components algorithm
 //! that discovers strongly-connected components as it is assigning
-//! topological order numbers" (§4, citing [Tarjan72]). Tarjan's algorithm
+//! topological order numbers" (§4, citing \[Tarjan72\]). Tarjan's algorithm
 //! pops each component after all components reachable from it — so the pop
 //! sequence *is* a topological numbering of the condensed graph: give the
 //! k-th popped component the number k+1 and every arc of the condensation

@@ -2,7 +2,7 @@
 //!
 //! `println!` panics when its reader has gone away, which would end
 //! `graphprof prog.gpx gmon.out | head -1` with a backtrace and exit 101.
-//! Every write of the binaries goes through [`print`] and [`exit_with`]
+//! Every write of the binaries goes through [`print`](fn@print) and [`exit_with`]
 //! instead: on a closed pipe they stop writing quietly, and the process
 //! still exits with the status its command decided.
 

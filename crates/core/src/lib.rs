@@ -9,7 +9,7 @@
 //!
 //! The pipeline (§4–§5 of the paper):
 //!
-//! 1. read a profile file ([`GmonData`](graphprof_monitor::GmonData)) and
+//! 1. read a profile file ([`GmonData`]) and
 //!    the executable it came from;
 //! 2. charge histogram samples to routines ([`profile`]);
 //! 3. build the dynamic call graph from arc records, merge in statically

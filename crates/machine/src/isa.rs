@@ -97,7 +97,7 @@ impl From<Addr> for u32 {
 
 /// A single machine instruction.
 ///
-/// Every variant has a fixed byte encoding, defined in [`crate::encode`];
+/// Every variant has a fixed byte encoding, defined in the `encode` module;
 /// sizes do not depend on operand values, so layout is a single pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instruction {

@@ -20,7 +20,7 @@
 //! * [`control`] — the kgmon-style programmer's interface from the
 //!   retrospective: switch profiling on and off, extract data, and reset it
 //!   without taking the "kernel" down;
-//! * [`reference`] — frozen scalar baselines for the optimized hot paths,
+//! * [`reference`](mod@reference) — frozen scalar baselines for the optimized hot paths,
 //!   used by the differential tests;
 //! * [`stacks`] — the retrospective's "modern profiler": complete
 //!   call-stack sampling, which needs no instrumentation and sidesteps

@@ -1,4 +1,4 @@
-//! Protocol messages carried in [`Frame`](crate::frame::Frame) payloads.
+//! Protocol messages carried in [`Frame`] payloads.
 //!
 //! Two planes share one connection:
 //!
@@ -61,7 +61,7 @@ pub mod kind {
     /// (protocol version 3).
     pub const REGRESS_REPORT: u8 = 0x85;
     /// Response: what a checkpoint sweep did, per
-    /// [`Response::CheckpointDone`] (protocol version 4).
+    /// [`Response::CheckpointDone`](super::Response::CheckpointDone) (protocol version 4).
     pub const CHECKPOINT_DONE: u8 = 0x86;
     /// Response: the request was rejected.
     pub const ERROR: u8 = 0xFF;

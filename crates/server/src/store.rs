@@ -24,7 +24,7 @@
 //! fsync — reaches the series through one fold, `StripeState::fold`,
 //! so live and replayed aggregates cannot drift apart. An in-memory
 //! stripe folds under its lock. A durable stripe stages uploads on its
-//! [`Committer`]: a leader thread elected among the stagers appends the
+//! `Committer`: a leader thread elected among the stagers appends the
 //! batch, fsyncs once, folds in queue order, and releases all
 //! acknowledgments together — fsync-before-ack preserved, the fsync
 //! amortized. In-flight `(series, seq)` reservations close the
@@ -467,7 +467,7 @@ impl SeriesStore {
     /// `InvalidInput` when `opts.stripes` contradicts the pinned count,
     /// or `InvalidData` when the directory holds log or snapshot files
     /// the store cannot account for (see
-    /// [`open_partitions`](crate::wal::open_partitions)); nothing is
+    /// [`open_partitions`]); nothing is
     /// written then. Torn or corrupt log tails are salvaged, not
     /// errors; the [`StoreRecovery`] says what was repaired.
     pub fn open(
