@@ -353,29 +353,26 @@ fn canonical_cycle_sets(comps: &[Vec<usize>], names: &[String]) -> Vec<Vec<Strin
     sets
 }
 
-/// Tarjan's strongly-connected components algorithm, iteratively (an
-/// explicit frame stack, so deep graphs cannot overflow the host
-/// stack). This is the one search behind both the post-processor's
-/// cycle collapse (`SccResult::analyze` in `graphprof-callgraph`) and
-/// the analyzer's static and merged graphs.
+/// Tarjan's strongly-connected components, iteratively (an explicit
+/// frame stack, so deep graphs cannot overflow the host stack): the one
+/// search behind the post-processor's cycle collapse
+/// (`graphprof_callgraph::SccResult`) and the analyzer's graphs.
 ///
-/// Nodes are `0..n`; `succ(v)` yields `v`'s successors. Roots are tried
-/// in index order and successors are visited in the order `succ` yields
-/// them. Each component is handed to `component` as it is popped, as the
-/// slice of the search stack it occupies, so its members come in
-/// discovery order. A component is popped only after every component it
-/// reaches, so the pop sequence is a reverse topological order of the
-/// condensation: every edge between components runs from a later one to
-/// an earlier one.
+/// Nodes are `0..n` and `succ(v)` yields `v`'s successors. Roots are
+/// tried in index order, successors in the order `succ` yields them.
+/// Each component goes to `component` when it is popped, as the slice of
+/// the search stack it occupies, so its members come in discovery order.
+/// Pop order is reverse topological: every edge between components runs
+/// from a later one to an earlier one.
 ///
 /// ```
 /// use graphprof_analysis::strongly_connected;
 ///
-/// // 0 -> 1 -> 2 -> 1: {1, 2} is a cycle and pops before {0}.
-/// let succ = [vec![1], vec![2], vec![1]];
+/// // 0 -> 2 <-> 1: the cycle pops first, its members in discovery order.
+/// let succ = [vec![2], vec![2], vec![1]];
 /// let mut comps = Vec::new();
 /// strongly_connected(3, |v| succ[v].iter().copied(), |comp| comps.push(comp.to_vec()));
-/// assert_eq!(comps, [vec![1, 2], vec![0]]);
+/// assert_eq!(comps, [vec![2, 1], vec![0]]);
 /// ```
 pub fn strongly_connected<I: Iterator<Item = usize>>(
     n: usize,

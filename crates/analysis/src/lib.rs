@@ -22,11 +22,12 @@
 //!   violate conservation. This is the engine behind `graphprof check`.
 //! * [`callgraph_analysis`] — the whole-program pass behind
 //!   `graphprof analyze` ([`analyze_profile`]): the static call graph
-//!   (crawled arcs ∪ dataflow-resolved indirects) with Tarjan SCCs,
-//!   dominators, and entry reachability, cross-checked against the
-//!   dynamic profile for impossible arcs, unreachable-but-sampled text,
-//!   static-vs-runtime cycle mismatches, and per-SCC call-count
-//!   conservation.
+//!   (crawled arcs ∪ dataflow-resolved indirects) with Tarjan SCCs
+//!   ([`strongly_connected`], the search the post-processor's cycle
+//!   collapse shares), dominators, and entry reachability, cross-checked
+//!   against the dynamic profile for impossible arcs,
+//!   unreachable-but-sampled text, static-vs-runtime cycle mismatches,
+//!   and per-SCC call-count conservation.
 //! * [`rules`] — the rule registry every finding code lives in, plus
 //!   the `--deny/--warn/--allow` configuration ([`RuleConfig`]).
 //! * [`report`] — the analyzer report: rendered text and the documented

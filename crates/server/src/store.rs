@@ -43,10 +43,12 @@
 //! [`RejectReason::ResyncRequired`] and the client falls back to one
 //! full blob.
 //!
-//! The store never keeps raw blobs: per series it holds O(log n) partial
-//! aggregates, the set of sequence numbers seen (for duplicate
-//! rejection), the upload/reject/byte counters behind the `stats`
-//! verb, and the one parsed shadow window delta reconstitution needs.
+//! The store never keeps raw blobs: per series it holds one running sum
+//! (its [`ProfileAccumulator`], each upload merged in as it folds), the
+//! set of sequence numbers seen (for duplicate rejection), the
+//! upload/reject/byte counters behind the `stats` verb, the one parsed
+//! shadow window delta reconstitution needs, and the last
+//! [`StoreOptions::retain`] windows when retention is on.
 //!
 //! Two analyzer error classes are *tolerated and flagged* rather than
 //! rejected: `call-count-mismatch` and `scc-count-imbalance`. Live
