@@ -324,8 +324,8 @@ impl Analysis {
                 .collect(),
             Filter::Focus(name) => {
                 // Every routine with the name; none selects nothing.
-                let focus = self.graph.nodes().filter(|&n| self.graph.name(n) == name);
-                let focus: Vec<NodeId> = focus.collect();
+                let focus: Vec<NodeId> =
+                    self.graph.nodes().filter(|&n| self.graph.name(n) == name).collect();
                 let mut keep: HashSet<NodeId> = focus.iter().copied().collect();
                 // Descendants.
                 let mut stack = focus.clone();
