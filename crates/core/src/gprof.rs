@@ -101,7 +101,8 @@ impl Gprof {
         // Arcs -> call graph (+ static arcs, optionally with indirect
         // call sites resolved by the slot dataflow).
         let static_pairs = prepared.static_pairs(&self.options)?;
-        let resolved = assemble_graph(exe, gmon.arcs(), &static_pairs.pairs);
+        let resolved =
+            assemble_graph(exe.symbols(), prepared.node_table(), gmon.arcs(), &static_pairs.pairs);
         let spontaneous = resolved.spontaneous;
         let mut graph = resolved.graph;
         self_cycles.push(0.0); // the virtual spontaneous node
@@ -466,6 +467,24 @@ mod tests {
         assert_eq!(unread.call_graph(), analysis.call_graph());
         assert_eq!(unread.flat(), analysis.flat());
         assert_eq!(analysis.clone().render_call_graph(), analysis.render_call_graph());
+    }
+
+    #[test]
+    fn analyses_share_the_executables_node_names() {
+        let (exe, gmon) = compile_and_profile(ABSTRACTION, 10);
+        let prepared = PreparedExecutable::new(exe);
+        let first = Gprof::default().analyze_prepared(&prepared, &gmon).unwrap();
+        // An arc exclusion copies the graph: the copy shares the names too.
+        let cut = Gprof::new(Options::default().exclude_arc("producer", "buffer"))
+            .analyze_prepared(&prepared, &gmon)
+            .unwrap();
+        for second in [Gprof::default().analyze_prepared(&prepared, &gmon).unwrap(), cut] {
+            assert_eq!(second.graph().node_count(), first.graph().node_count());
+            for node in first.graph().nodes() {
+                let (a, b) = (first.graph().name(node), second.graph().name(node));
+                assert!(std::ptr::eq(a, b), "{node} `{a}` is a copy");
+            }
+        }
     }
 
     #[test]

@@ -10,16 +10,18 @@
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
-use graphprof_callgraph::{discover_arcs_with_indirect, discover_static_arcs, NodeId};
+use graphprof_callgraph::{discover_arcs_with_indirect, discover_static_arcs, CallGraph, NodeId};
 use graphprof_machine::{DecodeError, Executable};
 
 use crate::options::Options;
-use crate::profile::static_pairs;
+use crate::profile::{node_table, static_pairs};
 
 /// An executable with its statically apparent call graph: the
 /// direct-call crawl and the slot-dataflow arcs for indirect call sites,
 /// each site resolved to its `(caller, callee)` node pair, and the count
-/// of sites the dataflow could not resolve.
+/// of sites the dataflow could not resolve. It also holds the node table
+/// every analysis starts its graph from, so analyses share the routine
+/// names instead of copying them.
 ///
 /// Every analysis runs through one of these
 /// ([`Gprof::analyze_prepared`](crate::Gprof::analyze_prepared));
@@ -54,6 +56,8 @@ use crate::profile::static_pairs;
 #[derive(Debug)]
 pub struct PreparedExecutable<'e> {
     exe: Cow<'e, Executable>,
+    /// One node per symbol, then `<spontaneous>`, and no arcs.
+    nodes: CallGraph,
     /// Direct-call sites alone (`resolve_indirect` off).
     direct: OnceLock<Result<StaticPairs, DecodeError>>,
     /// Direct sites plus resolved indirect sites (`resolve_indirect` on).
@@ -89,12 +93,18 @@ impl<'e> PreparedExecutable<'e> {
     }
 
     fn from_cow(exe: Cow<'e, Executable>) -> Self {
-        PreparedExecutable { exe, direct: OnceLock::new(), resolved: OnceLock::new() }
+        let nodes = node_table(exe.symbols());
+        PreparedExecutable { exe, nodes, direct: OnceLock::new(), resolved: OnceLock::new() }
     }
 
     /// The executable the call graph was derived from.
     pub fn executable(&self) -> &Executable {
         &self.exe
+    }
+
+    /// The graph each analysis clones before adding its arcs.
+    pub(crate) fn node_table(&self) -> &CallGraph {
+        &self.nodes
     }
 
     /// The static arcs an analysis under `options` merges into the

@@ -149,7 +149,16 @@ pub fn build_graph(
     dynamic: &[RawArc],
     static_arcs: &[(graphprof_machine::Addr, graphprof_machine::Addr)],
 ) -> ResolvedGraph {
-    assemble_graph(exe, dynamic, &static_pairs(exe.symbols(), static_arcs))
+    let symbols = exe.symbols();
+    assemble_graph(symbols, &node_table(symbols), dynamic, &static_pairs(symbols, static_arcs))
+}
+
+/// The graph every analysis of one executable starts from: one node per
+/// symbol, in [`SymbolId`] order, then [`SPONTANEOUS`], and no arcs.
+pub(crate) fn node_table(symbols: &SymbolTable) -> CallGraph {
+    let mut graph = CallGraph::with_nodes(symbols.iter().map(|(_, s)| s.name()));
+    graph.add_node(SPONTANEOUS);
+    graph
 }
 
 /// Resolves static call sites to `(caller, callee)` node pairs, in site
@@ -166,16 +175,17 @@ pub(crate) fn static_pairs(
         .collect()
 }
 
-/// [`build_graph`] over static arcs already resolved to node pairs: the
-/// dynamic arcs first, then each pair with count zero.
+/// [`build_graph`] from a clone of the executable's [`node_table`] and
+/// over static arcs already resolved to node pairs: the dynamic arcs
+/// first, then each pair with count zero.
 pub(crate) fn assemble_graph(
-    exe: &Executable,
+    symbols: &SymbolTable,
+    nodes: &CallGraph,
     dynamic: &[RawArc],
     static_pairs: &[(NodeId, NodeId)],
 ) -> ResolvedGraph {
-    let symbols = exe.symbols();
-    let mut graph = CallGraph::with_nodes(symbols.iter().map(|(_, s)| s.name().to_string()));
-    let spontaneous = graph.add_node(SPONTANEOUS);
+    let mut graph = nodes.clone();
+    let spontaneous = NodeId::new(symbols.len() as u32);
     let mut dropped_arcs = 0u64;
     for arc in dynamic {
         let Some(callee) = node_of(symbols, arc.self_pc) else {
