@@ -66,7 +66,11 @@ impl fmt::Display for CompId {
 #[derive(Debug, Clone)]
 pub struct SccResult {
     comp_of: Vec<CompId>,
-    comps: Vec<Vec<NodeId>>,
+    /// Every component's members, component after component in pop
+    /// order, each in discovery order.
+    members: Vec<NodeId>,
+    /// Component `c`'s members are `members[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
     has_self_arc: Vec<bool>,
 }
 
@@ -76,24 +80,25 @@ impl SccResult {
     pub fn analyze(graph: &CallGraph) -> SccResult {
         let n = graph.node_count();
         let mut comp_of = vec![CompId(0); n];
-        let mut comps: Vec<Vec<NodeId>> = Vec::new();
-        let mut has_self_arc = Vec::new();
+        let mut members = Vec::with_capacity(n);
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        let mut has_self_arc = Vec::with_capacity(n);
         strongly_connected(
             n,
             |v| graph.out_arcs(NodeId::new(v as u32)).iter().map(|&arc| graph.arc(arc).to.index()),
-            |members| {
-                let comp = CompId(comps.len() as u32);
-                let members: Vec<NodeId> = members.iter().map(|&v| NodeId::new(v as u32)).collect();
-                for &m in &members {
-                    comp_of[m.index()] = comp;
+            |popped| {
+                let comp = CompId(start.len() as u32 - 1);
+                for &v in popped {
+                    comp_of[v] = comp;
+                    members.push(NodeId::new(v as u32));
                 }
-                has_self_arc.push(
-                    members.len() == 1 && graph.arc_between(members[0], members[0]).is_some(),
-                );
-                comps.push(members);
+                let first = NodeId::new(popped[0] as u32);
+                has_self_arc.push(popped.len() == 1 && graph.arc_between(first, first).is_some());
+                start.push(members.len() as u32);
             },
         );
-        SccResult { comp_of, comps, has_self_arc }
+        SccResult { comp_of, members, start, has_self_arc }
     }
 
     /// The component containing `node`.
@@ -111,12 +116,12 @@ impl SccResult {
     ///
     /// Panics if the component id is out of range.
     pub fn members(&self, comp: CompId) -> &[NodeId] {
-        &self.comps[comp.index()]
+        &self.members[self.start[comp.index()] as usize..self.start[comp.index() + 1] as usize]
     }
 
     /// Number of components.
     pub fn comp_count(&self) -> usize {
-        self.comps.len()
+        self.start.len() - 1
     }
 
     /// Iterates component ids in pop order — callees before callers. This
@@ -124,7 +129,7 @@ impl SccResult {
     /// that "execution time can be propagated from descendants to
     /// ancestors after a single traversal of each arc" (§4).
     pub fn comps(&self) -> impl Iterator<Item = CompId> {
-        (0..self.comps.len() as u32).map(CompId)
+        (0..self.comp_count() as u32).map(CompId)
     }
 
     /// Whether a component is a cycle in the paper's sense: two or more
@@ -132,7 +137,7 @@ impl SccResult {
     /// *not* a cycle — its self-arcs are reported but excluded from
     /// propagation (§5.2).
     pub fn is_cycle(&self, comp: CompId) -> bool {
-        self.comps[comp.index()].len() > 1
+        self.members(comp).len() > 1
     }
 
     /// Whether a singleton component carries a self-arc (a self-recursive
