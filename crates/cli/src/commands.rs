@@ -239,10 +239,34 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let mut machine = Machine::with_config(exe.clone(), config);
     let mut profiler = RuntimeProfiler::with_granularity(&exe, tick, shift);
     if let Some(name) = args.value("monitor-only") {
-        let Some((_, sym)) = exe.symbols().by_name(name) else {
-            return Err(CliError::Usage(format!("--monitor-only names unknown routine `{name}`")));
+        // The monitor keeps one address range, as moncontrol(3) does: a
+        // name that several routines share is refused, not narrowed to
+        // the first of them.
+        let ranges: Vec<_> = exe
+            .symbols()
+            .iter()
+            .filter(|(_, s)| s.name() == name)
+            .map(|(_, s)| (s.addr(), s.end()))
+            .collect();
+        let range = match ranges[..] {
+            [] => {
+                return Err(CliError::Usage(format!(
+                    "--monitor-only names unknown routine `{name}`"
+                )))
+            }
+            [range] => range,
+            _ => {
+                let listed: Vec<String> =
+                    ranges.iter().map(|(from, to)| format!("{from}..{to}")).collect();
+                return Err(CliError::Usage(format!(
+                    "--monitor-only `{name}` names {} routines ({}); the monitor keeps one \
+                     address range",
+                    ranges.len(),
+                    listed.join(", ")
+                )));
+            }
         };
-        profiler.set_monitor_range(Some((sym.addr(), sym.end())));
+        profiler.set_monitor_range(Some(range));
     }
 
     let status = match budget {

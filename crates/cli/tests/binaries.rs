@@ -185,6 +185,50 @@ fn monitor_only_restricts_profiling_to_one_routine() {
 }
 
 #[test]
+fn monitor_only_refuses_a_name_two_routines_share() {
+    let dir = TempDir::new("monambig");
+    let src = dir.path("prog.s");
+    fs::write(
+        &src,
+        "routine main { call dua call dub }\nroutine dua { work 100 }\nroutine dub { work 900 }",
+    )
+    .expect("write source");
+    let exe = dir.path("prog.gpx");
+    assert!(run_bin("gpx-as", &[&src, "--out", &exe]).status.success());
+    // Rename `dub` to `dua` in the symbol table: the reader accepts it.
+    let mut bytes = fs::read(&exe).expect("read executable");
+    let at: Vec<usize> = (0..bytes.len() - 2).filter(|&i| &bytes[i..i + 3] == b"dub").collect();
+    assert_eq!(at.len(), 1, "one `dub` in the executable");
+    bytes[at[0] + 2] = b'a';
+    fs::write(&exe, bytes).expect("write executable");
+    // Both routines' address ranges, from the disassembler's symbol lines.
+    let dis = stdout(&run_bin("gpx-dis", &[&exe]));
+    let ranges: Vec<String> = dis
+        .lines()
+        .filter_map(|line| line.strip_prefix("dua: 0x"))
+        .map(|rest| {
+            let mut fields = rest.split(&[' ', '+'][..]).filter(|f| !f.is_empty());
+            let addr = u32::from_str_radix(fields.next().unwrap(), 16).unwrap();
+            let size: u32 = fields.next().unwrap().parse().unwrap();
+            format!("{addr:#06x}..{:#06x}", addr + size)
+        })
+        .collect();
+    assert_eq!(ranges.len(), 2, "{dis}");
+
+    let gmon = dir.path("gmon.out");
+    let out = run_bin("gpx-run", &[&exe, "--profile", &gmon, "--monitor-only", "dua"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    let err = stderr(&out);
+    for range in &ranges {
+        assert!(err.contains(range.as_str()), "{range} missing: {err}");
+    }
+    assert!(!Path::new(&gmon).exists(), "no profile is written");
+    // A name one routine holds still narrows the monitor.
+    let out = run_bin("gpx-run", &[&exe, "--profile", &gmon, "--monitor-only", "main"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
 fn annotate_switch_projects_samples_onto_instructions() {
     let dir = TempDir::new("annotate");
     let src = dir.path("prog.s");

@@ -623,10 +623,34 @@ fn kgmon(shared: &Shared, vm: &str, verb: KgmonVerb) -> Response {
                     Some((Addr::new(from), Addr::new(to)))
                 }
                 MonRange::Routine(name) => {
-                    let Some((_, sym)) = shared.store.executable().symbols().by_name(&name) else {
-                        return Response::Error(format!("no routine `{name}` in the executable"));
-                    };
-                    Some((sym.addr(), sym.end()))
+                    // One range, as moncontrol(3) keeps: a name that
+                    // several routines share is refused with every range.
+                    let ranges: Vec<_> = shared
+                        .store
+                        .executable()
+                        .symbols()
+                        .iter()
+                        .filter(|(_, s)| s.name() == name)
+                        .map(|(_, s)| (s.addr(), s.end()))
+                        .collect();
+                    match ranges[..] {
+                        [] => {
+                            return Response::Error(format!(
+                                "no routine `{name}` in the executable"
+                            ))
+                        }
+                        [range] => Some(range),
+                        _ => {
+                            let listed: Vec<String> =
+                                ranges.iter().map(|(from, to)| format!("{from}..{to}")).collect();
+                            return Response::Error(format!(
+                                "{} routines are named `{name}` ({}); moncontrol one address \
+                                 range instead",
+                                ranges.len(),
+                                listed.join(", ")
+                            ));
+                        }
+                    }
                 }
             };
             tool.moncontrol(resolved);

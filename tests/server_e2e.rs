@@ -212,6 +212,51 @@ fn remote_kgmon_controls_a_hosted_vm() {
     client.kgmon("kernel", KgmonVerb::Status).expect("still usable");
 }
 
+/// The monitor keeps one address range, so moncontrol refuses a routine
+/// name that two routines share, naming both ranges, instead of
+/// narrowing to the first.
+#[test]
+fn moncontrol_refuses_a_name_two_routines_share() {
+    use graphprof_machine::{Symbol, SymbolTable};
+    let exe = kernel_exe();
+    let renamed = exe
+        .symbols()
+        .iter()
+        .map(|(_, s)| {
+            let name = if s.name() == "net" { "disk" } else { s.name() };
+            Symbol::new(name, s.addr(), s.size(), s.profiled())
+        })
+        .collect();
+    let exe =
+        Executable::new(exe.base(), exe.text().to_vec(), SymbolTable::new(renamed), exe.entry());
+    let ranges: Vec<String> = exe
+        .symbols()
+        .iter()
+        .filter(|(_, s)| s.name() == "disk")
+        .map(|(_, s)| format!("{}..{}", s.addr(), s.end()))
+        .collect();
+    assert_eq!(ranges.len(), 2);
+    let handle = Server::start(ServerConfig::default(), exe, &["kernel".to_string()])
+        .expect("binds an ephemeral port");
+    let mut client = Client::connect(&handle.addr().to_string(), TIMEOUT).expect("connects");
+
+    let err = client
+        .kgmon("kernel", KgmonVerb::Moncontrol(MonRange::Routine("disk".to_string())))
+        .expect_err("ambiguous routine")
+        .to_string();
+    for range in &ranges {
+        assert!(err.contains(range.as_str()), "{range} missing: {err}");
+    }
+    assert!(err.contains("address range"), "{err}");
+    let Response::Text(status) = client
+        .kgmon("kernel", KgmonVerb::Moncontrol(MonRange::Routine("vm".to_string())))
+        .expect("a name one routine holds")
+    else {
+        panic!("moncontrol answers with text")
+    };
+    assert!(status.starts_with("monitoring 0x"), "{status}");
+}
+
 fn wait_for_window(client: &mut Client, ready: impl Fn(&GmonData) -> bool) -> GmonData {
     let deadline = Instant::now() + TIMEOUT;
     loop {
