@@ -1777,6 +1777,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Replay validates every logged record as a live upload is
+    /// validated: a tolerated finding flags the series again, and a log
+    /// reopened against another executable is refused, not folded.
+    #[test]
+    fn replay_validates_every_record_against_the_served_executable() {
+        let exe = graphprof_machine::asm::parse(
+            "routine main { work 10 call leaf } routine leaf { work 50 }",
+        )
+        .unwrap()
+        .compile(&CompileOptions::profiled())
+        .unwrap();
+        let clean = blob(&exe);
+        let parsed = GmonData::from_bytes(&clean).unwrap();
+        let leaf = exe.symbols().by_name("leaf").unwrap().1.addr();
+        let mut arcs: Vec<graphprof_monitor::RawArc> = parsed.arcs().to_vec();
+        arcs.iter_mut().find(|a| a.self_pc == leaf && !a.from_pc.is_null()).unwrap().count += 5;
+        let dirty =
+            GmonData::new(parsed.cycles_per_tick(), parsed.histogram().clone(), arcs).to_bytes();
+        let dir = tmpdir("revalidate");
+        // The series rows and totals of the listing; the WAL gauges below
+        // them restart with the process.
+        let read = |store: &SeriesStore| {
+            let listing = store.render_stats();
+            let series = listing[..listing.find("stripes:").unwrap()].to_string();
+            (store.flags("web"), store.stats("web").map(|s| s.flagged), series)
+        };
+        let before = {
+            let (store, _) = SeriesStore::open(exe.clone(), &dir, durable_opts(2)).unwrap();
+            assert_eq!(store.upload("web", 0, &clean), Ok(1));
+            assert_eq!(store.upload("web", 1, &dirty), Ok(2));
+            read(&store)
+        };
+        assert_eq!(before.0, Some(vec!["call-count-mismatch"]));
+        assert_eq!(before.1, Some(1));
+        {
+            let (store, recovery) = SeriesStore::open(exe.clone(), &dir, durable_opts(2)).unwrap();
+            assert_eq!(recovery.records(), 2);
+            assert_eq!(read(&store), before);
+        }
+        let (store, recovery) = SeriesStore::open(self::exe(), &dir, durable_opts(2)).unwrap();
+        assert_eq!(recovery.records(), 2);
+        assert!(store.aggregate("web").is_none());
+        let listing = store.render_stats();
+        assert!(listing.contains("total: 0 series, 0 uploads, 2 rejects, 0 bytes"), "{listing}");
+        assert!(matches!(store.upload("web", 0, &clean), Err(RejectReason::Inconsistent(_))));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn storage_failure_rolls_back_the_seq_so_a_retry_can_succeed() {
         let exe = exe();
